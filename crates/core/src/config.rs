@@ -157,6 +157,16 @@ pub enum ConfigError {
         /// Which scratchpad is empty.
         scratchpad: &'static str,
     },
+    /// A PE scratchpad has more words than the `u16` index generators can
+    /// address.
+    ScratchpadTooLarge {
+        /// Which PE sizing is affected.
+        pe: &'static str,
+        /// Which scratchpad is oversized.
+        scratchpad: &'static str,
+        /// Configured words (at most `u16::MAX`).
+        words: usize,
+    },
     /// The execute µop FIFO cannot hold one `repeat`+`mac` program pair.
     UopFifoTooShallow {
         /// Which PE sizing is affected.
@@ -216,6 +226,16 @@ impl fmt::Display for ConfigError {
             ConfigError::EmptyScratchpad { pe, scratchpad } => {
                 write!(f, "{pe} sizing has an empty {scratchpad} scratchpad")
             }
+            ConfigError::ScratchpadTooLarge {
+                pe,
+                scratchpad,
+                words,
+            } => write!(
+                f,
+                "{pe} sizing has a {words}-word {scratchpad} scratchpad; the u16 index \
+                 generators address at most {} words",
+                u16::MAX
+            ),
             ConfigError::UopFifoTooShallow { pe, entries } => write!(
                 f,
                 "{pe} sizing has a {entries}-entry uop FIFO; at least 2 entries \
@@ -493,6 +513,15 @@ fn validate_pe(pe: &PeConfig, label: &'static str) -> Result<(), ConfigError> {
                 scratchpad,
             });
         }
+        // Dispatch generator ends (`stream`, `group × stream`, `group ×
+        // cols`) are bounded by these sizes and narrowed to `u16`.
+        if words > u16::MAX as usize {
+            return Err(ConfigError::ScratchpadTooLarge {
+                pe: label,
+                scratchpad,
+                words,
+            });
+        }
     }
     if pe.addr_fifo_entries == 0 {
         return Err(ConfigError::EmptyAddrFifo { pe: label });
@@ -721,6 +750,64 @@ mod tests {
                 area_pes: 99
             }
         );
+    }
+
+    #[test]
+    fn scratchpads_beyond_u16_addressing_are_rejected() {
+        let oversized = PeConfig {
+            input_words: 1 << 17,
+            weight_words: 1 << 17,
+            output_words: 1 << 17,
+            addr_fifo_entries: 8,
+            uop_fifo_entries: 1 << 17,
+        };
+        let expected = ConfigError::ScratchpadTooLarge {
+            pe: "sim_pe",
+            scratchpad: "input",
+            words: 1 << 17,
+        };
+        assert_eq!(
+            GanaxConfig::paper().with_sim_pe(oversized).unwrap_err(),
+            expected
+        );
+        let mut cfg = GanaxConfig::paper();
+        cfg.sim_pe = oversized;
+        let json = cfg.to_json().unwrap();
+        assert_eq!(GanaxConfig::from_json(&json).unwrap_err(), expected);
+
+        // One word past the generators' reach is refused; the largest
+        // addressable sizing and the deep default stay valid.
+        let mut just_over = PeConfig::deep();
+        just_over.output_words = u16::MAX as usize + 1;
+        assert!(matches!(
+            GanaxConfig::paper().with_sim_pe(just_over).unwrap_err(),
+            ConfigError::ScratchpadTooLarge {
+                scratchpad: "output",
+                ..
+            }
+        ));
+        let largest = PeConfig {
+            input_words: u16::MAX as usize,
+            weight_words: u16::MAX as usize,
+            output_words: u16::MAX as usize,
+            ..PeConfig::deep()
+        };
+        GanaxConfig::paper().with_sim_pe(largest).unwrap();
+        GanaxConfig::paper().with_sim_pe(PeConfig::deep()).unwrap();
+    }
+
+    #[test]
+    fn deeply_nested_json_is_malformed_not_a_stack_overflow() {
+        let json = "[".repeat(200_000);
+        assert!(matches!(
+            GanaxConfig::from_json(&json).unwrap_err(),
+            ConfigError::Malformed { .. }
+        ));
+        let json = "{\"base\":".repeat(200_000);
+        assert!(matches!(
+            GanaxConfig::from_json(&json).unwrap_err(),
+            ConfigError::Malformed { .. }
+        ));
     }
 
     #[test]

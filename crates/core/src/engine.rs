@@ -71,14 +71,14 @@ use std::time::{Duration, Instant};
 
 use ganax_energy::{EnergyBreakdown, EnergyModel, EventCounts};
 use ganax_models::{Layer, LayerOp, Network};
-use ganax_sim::{EmitFault, FaultInjector, ProcessingEngine, WorkerFault, STALL_MILLIS};
+use ganax_sim::{FaultInjector, ProcessingEngine, WorkerFault, STALL_MILLIS};
 use ganax_tensor::Tensor;
 
 use crate::config::IntegrityMode;
 use crate::machine::{
     accumulate_input_checksum, chunk_group_max, dispatch_ordinal_base, gather_chunk_input,
-    load_chunk_weights, retire_chunk_group, row_checksum_ok, shard_for_position, GanaxMachine,
-    MachineError, PlannedLayer, RowChecksum, ShardFaults, MAX_HEAL_ROUNDS,
+    load_chunk_weights, retire_chunk_group, row_checksum_ok, scatter_slots, shard_for_position,
+    GanaxMachine, MachineError, PlannedLayer, RowChecksum, ShardFaults, MAX_HEAL_ROUNDS,
 };
 use crate::network::{
     finish_layer_output, host_projection, LayerExecution, NetworkExecution, NetworkWeights,
@@ -432,6 +432,8 @@ fn run_resident_shard(
         injector: &task.injector,
         layer_index: task.layer_index,
     };
+    // Fault-free shards scatter without consulting the injector per channel.
+    let faults_on = task.injector.is_enabled();
     // Worker-fault sites are keyed `(layer, row)` — decide them for every row
     // the shard owns before any work, exactly as the per-layer path does. A
     // panic here is genuine: it unwinds into the worker's `catch_unwind` so
@@ -543,27 +545,16 @@ fn run_resident_shard(
                                 layer,
                                 |k, slots| {
                                     let row = &mut buffer[base + (co0 + k) * width..][..width];
-                                    let mut ox = chunk.ox_start;
-                                    match faults.emit_fault(
-                                        rows[slot],
-                                        dispatch_base + co0 as u64,
-                                        co0 + k,
-                                    ) {
-                                        Some(EmitFault::StuckLane | EmitFault::DroppedUop) => {}
-                                        Some(EmitFault::DuplicatedUop) => {
-                                            for &value in slots {
-                                                row[ox] += value;
-                                                row[ox] += value;
-                                                ox += chunk.col_step;
-                                            }
-                                        }
-                                        None => {
-                                            for &value in slots {
-                                                row[ox] += value;
-                                                ox += chunk.col_step;
-                                            }
-                                        }
-                                    }
+                                    let fault = faults_on
+                                        .then(|| {
+                                            faults.emit_fault(
+                                                rows[slot],
+                                                dispatch_base + co0 as u64,
+                                                co0 + k,
+                                            )
+                                        })
+                                        .flatten();
+                                    scatter_slots(row, chunk, slots, fault);
                                 },
                             )?;
                         }
@@ -737,7 +728,9 @@ impl InferenceEngine {
     /// [`check_finite`] for a PE-array layer that already passed ABFT
     /// verification (or ran with it off): a non-finite value surfacing here
     /// under an active integrity mode is corruption the checksums missed, so
-    /// it also trips the `integrity_undetected` counter.
+    /// it also trips the `integrity_undetected` counter. Callers check the
+    /// raw accumulated output, before bias and activation: ReLU's
+    /// `max(0.0)` would flush a poisoned NaN into a silently wrong zero.
     fn check_verified_finite(&self, layer: &str, output: &Tensor) -> Result<(), MachineError> {
         let result = check_finite(layer, output);
         if result.is_err() && self.machine.config().integrity.verifies() {
@@ -915,8 +908,8 @@ impl InferenceEngine {
                     } else {
                         run.busy_pe_cycles as f64 / (run.shard_busy.len() as u64 * max_shard) as f64
                     };
-                    finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                     self.check_verified_finite(&layer.name, &out)?;
+                    finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                     current = Arc::new(out);
                     reports.push(LayerExecution {
                         name: layer.name.clone(),
@@ -1002,8 +995,8 @@ impl InferenceEngine {
                     let layer_inputs = Arc::new(currents.clone());
                     let run = self.run_layer(shared, plan, i, layer_inputs)?;
                     for (current, mut out) in currents.iter_mut().zip(run.outputs) {
-                        finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                         self.check_verified_finite(&layer.name, &out)?;
+                        finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                         *current = Arc::new(out);
                     }
                     busy_pe_cycles += run.busy_pe_cycles;
@@ -1551,7 +1544,7 @@ mod tests {
         let weights = toy_weights(&net, 71);
         let input = Tensor::deterministic(net.input_shape(), 73);
         let clean = clean_output(&net, &weights, &input);
-        // Target the tanh layer: relu's `max(0.0)` flushes NaN, tanh keeps it.
+        // Target the tanh layer.
         let spec = FaultSpec {
             layer: 2,
             ..FaultSpec::seeded(7, 1_000_000, FaultKind::NAN_POISON)
@@ -1564,6 +1557,28 @@ mod tests {
         }
         // The poison was transient: the next epoch runs clean, bit-identical
         // to a fault-free machine.
+        let retry = engine.execute(&compiled, &input).unwrap();
+        assert_eq!(retry.output, clean, "retried output");
+    }
+
+    #[test]
+    fn nan_poison_is_typed_even_under_relu() {
+        let net = toy_network();
+        let weights = toy_weights(&net, 71);
+        let input = Tensor::deterministic(net.input_shape(), 73);
+        let clean = clean_output(&net, &weights, &input);
+        // Poison only the ReLU layer: the guard runs before the activation,
+        // so the NaN cannot be flushed into a finite, wrong output.
+        let spec = FaultSpec {
+            layer: 1,
+            ..FaultSpec::seeded(7, 1_000_000, FaultKind::NAN_POISON)
+        };
+        let engine = InferenceEngine::new(faulty_machine(spec), 2);
+        let compiled = engine.compile(&net, &weights).unwrap();
+        match engine.execute(&compiled, &input) {
+            Err(MachineError::NonFiniteOutput { layer, .. }) => assert_eq!(layer, "up1"),
+            other => panic!("expected NonFiniteOutput, got {other:?}"),
+        }
         let retry = engine.execute(&compiled, &input).unwrap();
         assert_eq!(retry.output, clean, "retried output");
     }

@@ -1108,6 +1108,8 @@ fn run_shard(
     let mut load_words = 0u64;
     let mut work_units = 0u64;
     let mut checks: Vec<(usize, RowChecksum)> = Vec::new();
+    // Fault-free shards scatter without consulting the injector per channel.
+    let faults_on = faults.injector.is_enabled();
 
     for (oy, mut co_rows) in shard {
         // On this scoped path an injected worker disturbance surfaces as a
@@ -1163,24 +1165,10 @@ fn run_shard(
                             base + co0 as u64,
                         );
                         retire_chunk_group(&mut pe, chunk, stream, group, 0, layer, |k, slots| {
-                            let row = &mut co_rows[co0 + k];
-                            let mut ox = chunk.ox_start;
-                            match faults.emit_fault(oy, base + co0 as u64, co0 + k) {
-                                Some(EmitFault::StuckLane | EmitFault::DroppedUop) => {}
-                                Some(EmitFault::DuplicatedUop) => {
-                                    for &value in slots {
-                                        row[ox] += value;
-                                        row[ox] += value;
-                                        ox += chunk.col_step;
-                                    }
-                                }
-                                None => {
-                                    for &value in slots {
-                                        row[ox] += value;
-                                        ox += chunk.col_step;
-                                    }
-                                }
-                            }
+                            let fault = faults_on
+                                .then(|| faults.emit_fault(oy, base + co0 as u64, co0 + k))
+                                .flatten();
+                            scatter_slots(co_rows[co0 + k], chunk, slots, fault);
                         })?;
                         co0 += group;
                     }
@@ -1219,21 +1207,75 @@ pub(crate) fn chunk_group_max(pe_config: &PeConfig, chunk: &ColumnChunk, stream:
 }
 
 /// Gathers one input row's operand stream for `chunk` into `dst`
-/// (`taps × cols` words, one contiguous column run after another).
+/// (`taps × cols` words, one contiguous column run after another). Like the
+/// PE's canonical retire, the copy is monomorphised on the tap counts the
+/// zoo's plans produce, with one generic instance for every other count.
 pub(crate) fn gather_chunk_input(
     plan: &LayerPlan,
     chunk: &ColumnChunk,
     input_row: &[f32],
     dst: &mut [f32],
 ) {
-    let mut i = 0;
-    for c in 0..chunk.cols {
-        let run = plan.column_runs[chunk.ox_start + c * chunk.col_step]
-            .as_ref()
-            .expect("chunks cover consequential columns");
-        dst[i..i + chunk.taps]
-            .copy_from_slice(&input_row[run.input_start..run.input_start + chunk.taps]);
-        i += chunk.taps;
+    match chunk.taps {
+        1 => gather_columns::<1>(plan, chunk, input_row, dst),
+        2 => gather_columns::<2>(plan, chunk, input_row, dst),
+        3 => gather_columns::<3>(plan, chunk, input_row, dst),
+        taps => {
+            for (c, slot) in dst.chunks_exact_mut(taps).enumerate() {
+                let start = chunk_input_start(plan, chunk, c);
+                slot.copy_from_slice(&input_row[start..start + taps]);
+            }
+        }
+    }
+}
+
+/// [`gather_chunk_input`] for a compile-time tap count `R`.
+fn gather_columns<const R: usize>(
+    plan: &LayerPlan,
+    chunk: &ColumnChunk,
+    input_row: &[f32],
+    dst: &mut [f32],
+) {
+    let (slots, _) = dst.as_chunks_mut::<R>();
+    for (c, slot) in slots.iter_mut().enumerate() {
+        let start = chunk_input_start(plan, chunk, c);
+        slot.copy_from_slice(&input_row[start..start + R]);
+    }
+}
+
+/// First input column read by column `c` of `chunk`.
+fn chunk_input_start(plan: &LayerPlan, chunk: &ColumnChunk, c: usize) -> usize {
+    plan.column_runs[chunk.ox_start + c * chunk.col_step]
+        .as_ref()
+        .expect("chunks cover consequential columns")
+        .input_start
+}
+
+/// Adds one channel's produced partial sums into its output row:
+/// `slots[c]` lands on column `chunk.ox_start + c * chunk.col_step`. An
+/// injected emit fault drops the contribution (stuck lane, dropped µop) or
+/// adds it twice (duplicated µop). Shared by both shard runners, so their
+/// scatters stay bit-identical.
+pub(crate) fn scatter_slots(
+    row: &mut [f32],
+    chunk: &ColumnChunk,
+    slots: &[f32],
+    fault: Option<EmitFault>,
+) {
+    let columns = row[chunk.ox_start..].iter_mut().step_by(chunk.col_step);
+    match fault {
+        Some(EmitFault::StuckLane | EmitFault::DroppedUop) => {}
+        Some(EmitFault::DuplicatedUop) => {
+            for (out, &value) in columns.zip(slots) {
+                *out += value;
+                *out += value;
+            }
+        }
+        None => {
+            for (out, &value) in columns.zip(slots) {
+                *out += value;
+            }
+        }
     }
 }
 

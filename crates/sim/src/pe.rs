@@ -513,11 +513,10 @@ impl ProcessingEngine {
     /// repetitions each as **one dispatch**, settling FIFO occupancy,
     /// index-generator state, cycle counts and every [`EventCounts`] category
     /// once in closed form instead of once per program. Returns `false`
-    /// (touching nothing) when the dispatch does not match the canonical
-    /// machine shape, and the caller falls back to the per-program
-    /// [`ProcessingEngine::retire_mac_programs`].
+    /// (touching nothing) when the dispatch is not windowed, and the caller
+    /// falls back to the per-program [`ProcessingEngine::retire_mac_programs`].
     ///
-    /// The canonical shape, proven before any state moves:
+    /// The windowed shape, proven before any state moves:
     /// * all three address FIFOs empty — every address comes straight off its
     ///   generator, so FIFO traffic is pure pass-through accounting;
     /// * input and weight generators in a step-1 wrap window (guarded against
@@ -529,6 +528,10 @@ impl ProcessingEngine {
     /// The caller has already proven operand supply covers
     /// `pairs × repeats` repetitions (the `pair_cap` bound), which with empty
     /// FIFOs means each operand generator supplies the whole dispatch.
+    ///
+    /// The arithmetic then takes one of two paths: the machine's canonical
+    /// dispatch through [`retire_canonical`], any other window through the
+    /// run-splitting [`accumulate_windows`].
     fn retire_uniform_dispatch(&mut self, pairs: u64, repeats: u64) -> bool {
         let in_idx = AddrGenKind::Input.index();
         let wt_idx = AddrGenKind::Weight.index();
@@ -538,17 +541,8 @@ impl ProcessingEngine {
         if !fifos[in_idx].is_empty() || !fifos[wt_idx].is_empty() || !fifos[out_idx].is_empty() {
             return false;
         }
-        // Absolute scratchpad windows, as in the per-program path: the
-        // constant `offset` shifts the whole window and the wrap returns to
-        // the window base, mirroring `tick`'s `offset + (pos % end)`.
-        let window = |gen: &StridedIndexGenerator| -> Option<(usize, usize, usize)> {
-            let base = gen.offset() as usize;
-            gen.burst_wrap_window()
-                .filter(|&(_, end)| base + end as usize <= u16::MAX as usize + 1)
-                .map(|(current, end)| (base + current as usize, base + end as usize, base))
-        };
-        let (Some((mut in_pos, in_end, in_base)), Some((mut wt_pos, wt_end, wt_base))) =
-            (window(&gens[in_idx]), window(&gens[wt_idx]))
+        let (Some(mut input), Some(mut weight)) =
+            (Window::of(&gens[in_idx]), Window::of(&gens[wt_idx]))
         else {
             return false;
         };
@@ -568,86 +562,46 @@ impl ProcessingEngine {
         // Accumulate each program over the operand slice windows — same
         // operation and order as `ExecuteEngine::execute`, so every f32
         // result is bit-identical — and store it straight into the output
-        // scratchpad at the address the generator would have produced.
+        // scratchpad at the address the generator would have produced. In
+        // fetch mode the accumulator holds the `0.0` the last completed
+        // program left, so every program starts from `0.0`.
         let in_data = self.input.contents();
         let wt_data = self.weights.contents();
         let out_data = self.output.contents_mut();
-        let mut acc = self.execute.accumulator();
-        let contiguous = (out_cur + pairs <= out_end).then(|| (out_base + out_cur) as usize);
+        debug_assert_eq!(self.execute.accumulator().to_bits(), 0);
         let r = repeats as usize;
-        let aligned = contiguous.is_some()
-            && (in_end - in_base) % r == 0
-            && (in_end - in_pos) % r == 0
-            && (wt_end - wt_base) % r == 0
-            && (wt_end - wt_pos) % r == 0;
-        if aligned {
-            // The machine's dispatch shape: both operand windows hold whole
-            // programs and both positions sit on a program boundary, so the
-            // dispatch decomposes into *sweeps* — the longest stretch of
-            // whole programs before either window wraps. Inside a sweep every
-            // program is a straight `r`-word slice pair, so the hot loop
-            // carries no window arithmetic; all division happens here, once.
-            let out0 = contiguous.expect("aligned implies a contiguous output run");
-            let in_full = (in_end - in_base) / r;
-            let wt_full = (wt_end - wt_base) / r;
-            let mut in_avail = (in_end - in_pos) / r;
-            let mut wt_avail = (wt_end - wt_pos) / r;
-            let mut j = 0usize;
-            let mut left = pairs as usize;
-            while left > 0 {
-                let sweep = in_avail.min(wt_avail).min(left);
-                for _ in 0..sweep {
-                    let lhs = &in_data[in_pos..in_pos + r];
-                    let rhs = &wt_data[wt_pos..wt_pos + r];
-                    for (a, b) in lhs.iter().zip(rhs) {
-                        acc += a * b;
-                    }
-                    out_data[out0 + j] = acc;
-                    acc = 0.0;
-                    j += 1;
-                    in_pos += r;
-                    wt_pos += r;
-                }
-                left -= sweep;
-                in_avail -= sweep;
-                if in_avail == 0 {
-                    in_pos = in_base;
-                    in_avail = in_full;
-                }
-                wt_avail -= sweep;
-                if wt_avail == 0 {
-                    wt_pos = wt_base;
-                    wt_avail = wt_full;
-                }
-            }
+        let programs = pairs as usize;
+        let contiguous = (out_cur + pairs <= out_end).then(|| (out_base + out_cur) as usize);
+        // The machine's dispatch shape: the input window is one `cols × r`
+        // stream starting at its base and replayed once per channel, the
+        // weights walk `programs × r` words without wrapping, and the output
+        // run is contiguous — `retire_canonical` takes it as a nested
+        // channel × column loop with no window arithmetic at all.
+        let stream = input.end - input.base;
+        let canonical = contiguous.filter(|_| {
+            input.pos == input.base
+                && stream.is_multiple_of(r)
+                && programs.is_multiple_of(stream / r)
+                && weight.pos + programs * r <= weight.end
+        });
+        if let Some(out0) = canonical {
+            retire_canonical(
+                r,
+                &in_data[input.base..input.end],
+                &wt_data[weight.pos..weight.pos + programs * r],
+                &mut out_data[out0..out0 + programs],
+            );
         } else {
-            // Off-boundary windows (mid-pair resume, wrapping output run):
-            // the general per-program loop splits runs at every wrap.
+            // Any other window (mid-stream resume, wrapping weights or
+            // output run): the general per-program loop splits runs at
+            // every wrap.
             for j in 0..pairs {
-                let mut left = repeats as usize;
-                while left > 0 {
-                    let run = left.min(in_end - in_pos).min(wt_end - wt_pos);
-                    let lhs = &in_data[in_pos..in_pos + run];
-                    let rhs = &wt_data[wt_pos..wt_pos + run];
-                    for (a, b) in lhs.iter().zip(rhs) {
-                        acc += a * b;
-                    }
-                    in_pos += run;
-                    if in_pos == in_end {
-                        in_pos = in_base;
-                    }
-                    wt_pos += run;
-                    if wt_pos == wt_end {
-                        wt_pos = wt_base;
-                    }
-                    left -= run;
-                }
+                let acc = accumulate_windows(0.0, r, in_data, &mut input, wt_data, &mut weight);
                 let addr = match contiguous {
                     Some(abs) => abs + j as usize,
                     None => (out_base + (out_cur + j) % out_end) as usize,
                 };
                 out_data[addr] = acc;
-                acc = 0.0;
             }
         }
 
@@ -717,26 +671,8 @@ impl ProcessingEngine {
         // when both sides qualify — and their FIFOs are empty, so every
         // address comes straight off the generator; otherwise the general
         // per-cycle path ticks both generators.
-        // Windows are absolute scratchpad positions: the generator's constant
-        // `offset` shifts the whole window (the engine keeps several gathered
-        // streams resident and addresses one via `offset`), and the wrap goes
-        // back to the window base, mirroring `tick`'s `offset + (pos % end)`.
-        // Guarded against u16 wraparound, which only `tick` reproduces.
-        let wrap_window =
-            |gen: &StridedIndexGenerator, take: u64| -> Option<(usize, usize, usize)> {
-                if take != 0 {
-                    return None;
-                }
-                let base = gen.offset() as usize;
-                gen.burst_wrap_window()
-                    .filter(|&(_, end)| base + end as usize <= u16::MAX as usize + 1)
-                    .map(|(current, end)| (base + current as usize, base + end as usize, base))
-            };
-        let windows = match (
-            wrap_window(&gens[in_idx], take[0]),
-            wrap_window(&gens[wt_idx], take[1]),
-        ) {
-            (Some(input), Some(weight)) => Some((input, weight)),
+        let mut windows = match (Window::of(&gens[in_idx]), Window::of(&gens[wt_idx])) {
+            (Some(input), Some(weight)) if take == [0, 0] => Some((input, weight)),
             _ => None,
         };
 
@@ -766,10 +702,6 @@ impl ProcessingEngine {
         let mut taken = [0u64; 2];
         let mut done = 0u64;
         let mut popped = 0u64;
-        // Window cursors (positions advance modulo each window's wrap point,
-        // wrapping back to the window base).
-        let (mut in_pos, in_end, in_base) = windows.map(|(i, _)| i).unwrap_or((0, 1, 0));
-        let (mut wt_pos, wt_end, wt_base) = windows.map(|(_, w)| w).unwrap_or((0, 1, 0));
         // Fetch the whole proven program queue at once; with a uniform queue
         // the per-program repeat counts need no re-derivation and the drain
         // drops in bulk.
@@ -795,26 +727,10 @@ impl ProcessingEngine {
 
             // Accumulate `repeats` operand pairs — same operation and order
             // as `ExecuteEngine::execute`, so the f32 result is bit-identical.
-            match windows {
-                Some(_) => {
-                    let mut left = repeats as usize;
-                    while left > 0 {
-                        let run = left.min(in_end - in_pos).min(wt_end - wt_pos);
-                        let lhs = &in_data[in_pos..in_pos + run];
-                        let rhs = &wt_data[wt_pos..wt_pos + run];
-                        for (a, b) in lhs.iter().zip(rhs) {
-                            acc += a * b;
-                        }
-                        in_pos += run;
-                        if in_pos == in_end {
-                            in_pos = in_base;
-                        }
-                        wt_pos += run;
-                        if wt_pos == wt_end {
-                            wt_pos = wt_base;
-                        }
-                        left -= run;
-                    }
+            match &mut windows {
+                Some((input, weight)) => {
+                    acc =
+                        accumulate_windows(acc, repeats as usize, in_data, input, wt_data, weight);
                 }
                 None => {
                     for _ in 0..repeats {
@@ -1053,6 +969,118 @@ impl ProcessingEngine {
             dram_writes: 0,
             local_uop_fetches: self.uop_fetches,
             global_uop_fetches: 0,
+        }
+    }
+}
+
+/// A step-1 operand window in absolute scratchpad positions: the cursor
+/// walks `pos..end` and wraps back to `base`, mirroring the index
+/// generator's `offset + (pos % end)`.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    pos: usize,
+    end: usize,
+    base: usize,
+}
+
+impl Window {
+    /// The step-1 wrap window of a running operand generator, if it has
+    /// one. The generator's constant `offset` shifts the whole window (the
+    /// engine keeps several gathered streams resident and addresses one via
+    /// `offset`); windows that would wrap the `u16` address space are
+    /// refused, since only `tick` reproduces that wraparound.
+    fn of(gen: &StridedIndexGenerator) -> Option<Self> {
+        let base = gen.offset() as usize;
+        gen.burst_wrap_window()
+            .filter(|&(_, end)| base + end as usize <= u16::MAX as usize + 1)
+            .map(|(current, end)| Window {
+                pos: base + current as usize,
+                end: base + end as usize,
+                base,
+            })
+    }
+
+    /// Advances the cursor by `run` words, which must not cross `end`.
+    fn advance(&mut self, run: usize) {
+        self.pos += run;
+        if self.pos == self.end {
+            self.pos = self.base;
+        }
+    }
+}
+
+/// Adds `repeats` operand products to `acc`, reading both operand windows
+/// in runs split at every wrap — the same operation and order as
+/// `ExecuteEngine::execute`, so the f32 result is bit-identical.
+fn accumulate_windows(
+    mut acc: f32,
+    repeats: usize,
+    in_data: &[f32],
+    input: &mut Window,
+    wt_data: &[f32],
+    weight: &mut Window,
+) -> f32 {
+    let mut left = repeats;
+    while left > 0 {
+        let run = left.min(input.end - input.pos).min(weight.end - weight.pos);
+        let lhs = &in_data[input.pos..input.pos + run];
+        let rhs = &wt_data[weight.pos..weight.pos + run];
+        for (a, b) in lhs.iter().zip(rhs) {
+            acc += a * b;
+        }
+        input.advance(run);
+        weight.advance(run);
+        left -= run;
+    }
+    acc
+}
+
+/// Retires one canonical dispatch of `r`-tap programs:
+/// `out[k·cols + c] = Σ_t input[c·r + t] · weights[(k·cols + c)·r + t]`,
+/// where `input` is one `cols × r` stream replayed once per channel `k` and
+/// `weights` holds `out.len() / cols` consecutive channel streams. The tap
+/// counts the zoo's plans produce get a kernel monomorphised on `r`; any
+/// other count takes the generic instance. Each program starts from `0.0`
+/// and adds its taps in order, exactly as the execute µ-engine does.
+fn retire_canonical(r: usize, input: &[f32], weights: &[f32], out: &mut [f32]) {
+    match r {
+        1 => canonical_kernel::<1>(input, weights, out),
+        2 => canonical_kernel::<2>(input, weights, out),
+        3 => canonical_kernel::<3>(input, weights, out),
+        _ => {
+            let cols = input.len() / r;
+            for (channel, slots) in weights
+                .chunks_exact(input.len())
+                .zip(out.chunks_exact_mut(cols))
+            {
+                let programs = input.chunks_exact(r).zip(channel.chunks_exact(r));
+                for ((x, w), slot) in programs.zip(slots) {
+                    let mut acc = 0.0f32;
+                    for (a, b) in x.iter().zip(w) {
+                        acc += a * b;
+                    }
+                    *slot = acc;
+                }
+            }
+        }
+    }
+}
+
+/// [`retire_canonical`] for a compile-time tap count `R`: the tap loop
+/// runs over fixed-size arrays, so it unrolls with no bounds checks.
+fn canonical_kernel<const R: usize>(input: &[f32], weights: &[f32], out: &mut [f32]) {
+    let (columns, _) = input.as_chunks::<R>();
+    let (channels, _) = weights.as_chunks::<R>();
+    for (channel, slots) in channels
+        .chunks_exact(columns.len())
+        .zip(out.chunks_exact_mut(columns.len()))
+    {
+        for ((x, w), slot) in columns.iter().zip(channel).zip(slots) {
+            let mut acc = 0.0f32;
+            for t in 0..R {
+                acc += x[t] * w[t];
+            }
+            *slot = acc;
         }
     }
 }
@@ -1636,6 +1664,60 @@ mod tests {
             let fast_cycles = fast.run_until_idle_burst(budget);
             prop_assert_eq!(ref_cycles, fast_cycles, "cycle counts diverged");
             prop_assert_eq!(&reference, &fast, "PE state diverged");
+        }
+
+        /// The inference engine's exact dispatch shape, built directly: a
+        /// `cols × taps` input stream resident at a nonzero block slot and
+        /// replayed once per channel, weights walking `group × stream`, and a
+        /// `group × cols` output run — then a second dispatch from slot 0 on
+        /// the same PE, as the engine issues them back to back. Taps cover
+        /// every count `retire_canonical` specialises and two above them, so
+        /// the monomorphised kernels and the generic instance all meet
+        /// `step()`.
+        #[test]
+        fn prop_canonical_dispatch_equals_single_step(
+            cols in 1u16..9,
+            taps in 1u16..6,
+            group in 1u16..5,
+            slot in 1u16..4,
+            fifo_entries in 2usize..9,
+        ) {
+            let stream = cols * taps;
+            let config = PeConfig {
+                input_words: 160,
+                weight_words: 160,
+                output_words: 32,
+                addr_fifo_entries: fifo_entries,
+                uop_fifo_entries: 64,
+            };
+            let data: Vec<f32> = (0..160).map(|i| (i as f32) * 0.31 - 5.0).collect();
+            let weights: Vec<f32> = (0..160).map(|i| 2.3 - (i as f32) * 0.07).collect();
+            let mut reference = ProcessingEngine::new(config);
+            reference.load_input(&data);
+            reference.load_weights(&weights);
+            let mut fast = reference.clone();
+            for input_slot in [slot, 0] {
+                for pe in [&mut reference, &mut fast] {
+                    pe.configure_generator(AddrGenKind::Input, GeneratorConfig {
+                        addr: 0, offset: input_slot * stream, step: 1, end: stream, repeat: group,
+                    });
+                    pe.configure_linear(AddrGenKind::Weight, 0, 1, group * stream, 1);
+                    pe.configure_linear(AddrGenKind::Output, 0, 1, group * cols, 1);
+                    pe.start_all();
+                    pe.set_repeat(taps);
+                }
+                for _ in 0..cols * group {
+                    reference.push_uop(ExecUop::Repeat);
+                    reference.push_uop(ExecUop::Mac);
+                }
+                fast.try_push_mac_pairs((cols * group) as usize).unwrap();
+                let budget = 4_096;
+                let ref_cycles = reference.run_until_idle(budget);
+                let fast_cycles = fast.run_until_idle_burst(budget);
+                prop_assert!(reference.is_idle(), "reference did not drain");
+                prop_assert_eq!(ref_cycles, fast_cycles, "cycle counts diverged");
+                prop_assert_eq!(&reference, &fast, "PE state diverged");
+            }
         }
 
         /// Queues mixing materialized µops with virtual pairs — a lone `mac`

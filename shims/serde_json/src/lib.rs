@@ -51,6 +51,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
@@ -72,12 +73,18 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
     T::from_value(value).map_err(|e| Error(e.to_string()))
 }
 
+/// How deeply arrays and objects may nest — the real `serde_json`'s
+/// recursion limit. Deeper input is an error rather than a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 /// A recursive-descent JSON parser over the input bytes. Supports the full
 /// JSON value grammar this workspace emits: objects, arrays, strings with
 /// escapes (including `\uXXXX`), numbers, booleans and `null`.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -125,8 +132,22 @@ impl Parser<'_> {
             b't' => self.expect_literal("true").map(|()| Value::Bool(true)),
             b'f' => self.expect_literal("false").map(|()| Value::Bool(false)),
             b'"' => self.parse_string().map(Value::String),
-            b'[' => self.parse_array(),
-            b'{' => self.parse_object(),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "JSON nests deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             _ => self.parse_number(),
         }
     }
@@ -486,6 +507,18 @@ mod tests {
         assert!(from_str::<Value>("12 34").is_err());
         assert!(from_str::<Value>("\"unterminated").is_err());
         assert!(from_str::<f64>("true").is_err());
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        // Exactly the limit parses; one level more, or a pathological
+        // 200 000-deep input, is an error instead of a stack overflow.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(from_str::<Value>(&over).is_err());
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -47,8 +47,8 @@ fn toy_network(name: &str, mid_channels: usize) -> Network {
             ConvParams::transposed_2d(4, 2, 1),
             Activation::Relu,
         )
-        // `Activation::None` lets injected NaNs reach the output guard
-        // (ReLU's `max(0.0)` would silently flush them).
+        // `Activation::None` passes injected NaNs on unchanged (the engine's
+        // guard checks each layer before its activation either way).
         .conv("smooth", 1, ConvParams::conv_2d(3, 1, 1), Activation::None)
         .build()
         .expect("toy network builds")
