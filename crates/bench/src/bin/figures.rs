@@ -12,6 +12,12 @@ use ganax_bench::{all_comparisons, figure1, figure10, figure11, figure8, figure9
 use ganax_energy::{AreaModel, EnergyModel};
 use ganax_models::zoo;
 
+/// Every selection name `figures` accepts (besides `all`).
+const SELECTIONS: [&str; 11] = [
+    "table1", "fig1", "table2", "table3", "fig5", "fig8a", "fig8b", "fig9a", "fig9b", "fig10",
+    "fig11",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
@@ -20,6 +26,19 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
+    let unknown: Vec<&str> = selections
+        .iter()
+        .copied()
+        .filter(|s| *s != "all" && !SELECTIONS.contains(s))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "figures: unknown selection(s) {}; valid names: all {}",
+            unknown.join(" "),
+            SELECTIONS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let all = selections.is_empty() || selections.contains(&"all");
     let wants = |name: &str| all || selections.contains(&name);
 

@@ -76,9 +76,9 @@ use ganax_tensor::Tensor;
 
 use crate::config::IntegrityMode;
 use crate::machine::{
-    accumulate_input_checksum, chunk_group_max, dispatch_ordinal_base, gather_chunk_input,
-    load_chunk_weights, retire_chunk_group, row_checksum_ok, scatter_slots, shard_for_position,
-    GanaxMachine, MachineError, PlannedLayer, RowChecksum, ShardFaults, MAX_HEAL_ROUNDS,
+    accumulate_input_checksum, add_slots, dispatch_ordinal_base, gather_input,
+    load_dispatch_weights, retire_group, row_checksum_ok, shard_for_position, Dispatch,
+    GanaxMachine, LayerPlan, MachineError, PlannedLayer, RowChecksum, ShardFaults, MAX_HEAL_ROUNDS,
 };
 use crate::network::{
     finish_layer_output, host_projection, LayerExecution, NetworkExecution, NetworkWeights,
@@ -398,19 +398,27 @@ fn worker_loop(shared: Arc<PoolShared>) {
 
 /// Executes one shard — `task.rows` output rows × every batch element — on a
 /// resident worker PE, accumulating into `buffer` (layout
-/// `[element][row slot][channel][column]`, zeroed here in place).
+/// `[element][row slot][channel][column slot]`, zeroed here in place; column
+/// slots follow the plan's dispatch-major [`column_slot`] order).
 ///
-/// The loop nests `ky → ci → chunk → row block → channel group → row` so a
-/// gathered weight stream, staged once per `(chunk, group)`, serves every
-/// resident row of every batch element, and a whole block of gathered input
-/// streams stays resident in the input scratchpad across all channel groups
-/// (each dispatch selects its stream through the input generator's offset
-/// register). Per dispatch this issues exactly the per-layer fast path's
-/// program — same generators, same µop pairs, same burst — so busy cycles,
-/// counters and the f32 accumulation order per output element are
-/// bit-identical to [`GanaxMachine::execute_layer_threaded`]; only the number
-/// of bulk scratchpad loads shrinks, and those are excluded from the counts
-/// on both paths.
+/// The loop nests `ky → ci → dispatch → row block → channel group → row` so
+/// a gathered weight stream, staged once per `(dispatch, group)`, serves
+/// every resident row of every batch element, and a whole block of gathered
+/// input streams stays resident in the input scratchpad across all channel
+/// groups (each dispatch selects its stream through the input generator's
+/// offset register). A dispatch bundles every equal-tap chunk of the row, so
+/// its columns occupy one contiguous slot run and each channel's partial
+/// sums land with one contiguous add.
+///
+/// Per program this computes exactly what the per-layer fast path's chunk
+/// dispatches compute, so busy cycles, counters and the f32 accumulation
+/// order per output element are bit-identical to
+/// [`GanaxMachine::execute_layer_threaded`]: only the number of dispatches
+/// and bulk scratchpad loads shrinks, and bulk loads are excluded from the
+/// counts on both paths. Fault sites and checksum folds stay keyed by chunk
+/// (see [`load_dispatch_weights`] and [`accumulate_input_checksum`]).
+///
+/// [`column_slot`]: crate::machine::LayerPlan::column_slot
 fn run_resident_shard(
     task: &ShardTask,
     pe: &mut ProcessingEngine,
@@ -432,7 +440,7 @@ fn run_resident_shard(
         injector: &task.injector,
         layer_index: task.layer_index,
     };
-    // Fault-free shards scatter without consulting the injector per channel.
+    // Fault-free shards skip every per-chunk fault query.
     let faults_on = task.injector.is_enabled();
     // Worker-fault sites are keyed `(layer, row)` — decide them for every row
     // the shard owns before any work, exactly as the per-layer path does. A
@@ -454,8 +462,8 @@ fn run_resident_shard(
     let mut load_words = 0u64;
     let mut work_units = 0u64;
     // ABFT checksum triples, one per `(element, row slot)` accumulated row.
-    // The predicted/magnitude terms are folded in stream order (`ky → ci →
-    // chunk → element`), identical to the per-layer path's per-row order, so
+    // The predicted/magnitude terms are folded in `ky → ci → chunk →
+    // element` order, identical to the per-layer path's per-row order, so
     // the triples — and therefore the verdicts — are bit-identical at every
     // pool size.
     let mut checks: Vec<RowChecksum> = if task.verify {
@@ -466,6 +474,9 @@ fn run_resident_shard(
     // `(element, row slot, input row)` instances whose row reads vertical tap
     // `ky` — rebuilt per tap, reusing the allocation.
     let mut instances: Vec<(usize, usize, usize)> = Vec::new();
+    // Per chunk of the current dispatch, its dispatch ordinal base (filled
+    // only when faults are armed).
+    let mut ordinals: Vec<u64> = Vec::new();
 
     for ky in 0..plan.kernel_h {
         instances.clear();
@@ -481,9 +492,35 @@ fn run_resident_shard(
         }
         for ci in 0..ci_count {
             work_units += instances.len() as u64 * co_count as u64;
-            for (chunk_idx, chunk) in plan.chunks.iter().enumerate() {
-                let stream = chunk.taps * chunk.cols;
-                let dispatch_base = dispatch_ordinal_base(plan, layer, ky, ci, chunk_idx);
+            if task.verify {
+                // The predicted side folds each chunk's *clean* stream in
+                // chunk order, independent of how chunks bundle into
+                // dispatches.
+                for &(e, slot, iy) in &instances {
+                    let input_row = task.inputs[e].row_2d(ci, iy);
+                    for chunk_idx in 0..plan.chunks.len() {
+                        accumulate_input_checksum(
+                            plan,
+                            chunk_idx,
+                            ky,
+                            ci,
+                            input_row,
+                            &mut checks[e * rows.len() + slot],
+                        );
+                    }
+                }
+            }
+            for (d, dispatch) in plan.dispatches.iter().enumerate() {
+                let stream = dispatch.taps * dispatch.cols;
+                ordinals.clear();
+                if faults_on {
+                    ordinals.extend(
+                        dispatch
+                            .chunks
+                            .iter()
+                            .map(|&idx| dispatch_ordinal_base(plan, layer, ky, ci, idx)),
+                    );
+                }
                 // A block is bounded by the input scratchpad *and* by u16
                 // generator addressing: every resident stream's window
                 // (`input_base + stream`) must stay below 2^16, or the
@@ -494,69 +531,66 @@ fn run_resident_shard(
                     .max(1);
                 for block in instances.chunks(block_cap) {
                     pe.load_input_with(block.len() * stream, |buf| {
-                        for (b, &(e, slot, iy)) in block.iter().enumerate() {
+                        for (&(e, slot, iy), sub) in block.iter().zip(buf.chunks_exact_mut(stream))
+                        {
                             let input_row = task.inputs[e].row_2d(ci, iy);
-                            let sub = &mut buf[b * stream..(b + 1) * stream];
-                            gather_chunk_input(plan, chunk, input_row, sub);
-                            if task.verify {
-                                // Checksum the *clean* gathered stream before
-                                // fault injection — the predicted side must
-                                // reflect the data the layer was asked to
-                                // compute, not whatever corruption lands on it.
-                                accumulate_input_checksum(
-                                    plan,
-                                    chunk_idx,
-                                    stream,
-                                    ky,
-                                    ci,
-                                    sub,
-                                    &mut checks[e * rows.len() + slot],
+                            gather_input(dispatch.taps, &dispatch.input_starts, input_row, sub);
+                            // Each chunk's piece keeps the chunk's own
+                            // input-fault sites.
+                            for (&idx, &ordinal) in dispatch.chunks.iter().zip(&ordinals) {
+                                let chunk = &plan.chunks[idx];
+                                let at = chunk.dispatch_col * chunk.taps;
+                                faults.corrupt_input_stream(
+                                    rows[slot],
+                                    ordinal,
+                                    &mut sub[at..at + chunk.taps * chunk.cols],
                                 );
                             }
-                            faults.corrupt_input_stream(rows[slot], dispatch_base, sub);
                         }
                     });
                     load_words += (block.len() * stream) as u64;
 
-                    let group_max = chunk_group_max(pe_config, chunk, stream);
                     let mut co0 = 0;
                     while co0 < co_count {
-                        let group = group_max.min(co_count - co0);
-                        load_words += load_chunk_weights(
+                        let group = dispatch.group_max.min(co_count - co0);
+                        load_words += load_dispatch_weights(
                             pe,
                             plan,
-                            chunk_idx,
-                            stream,
+                            d,
                             group,
                             co0,
                             ci,
                             ky,
-                            faults,
-                            dispatch_base + co0 as u64,
+                            faults_on.then_some((faults, ordinals.as_slice())),
                         );
                         for (b, &(e, slot, _iy)) in block.iter().enumerate() {
-                            let base = (e * rows.len() + slot) * row_stride;
-                            retire_chunk_group(
+                            let produced = retire_group(
                                 pe,
-                                chunk,
-                                stream,
+                                dispatch.taps,
+                                dispatch.cols,
                                 group,
                                 b * stream,
                                 layer,
-                                |k, slots| {
-                                    let row = &mut buffer[base + (co0 + k) * width..][..width];
-                                    let fault = faults_on
-                                        .then(|| {
-                                            faults.emit_fault(
-                                                rows[slot],
-                                                dispatch_base + co0 as u64,
-                                                co0 + k,
-                                            )
-                                        })
-                                        .flatten();
-                                    scatter_slots(row, chunk, slots, fault);
-                                },
                             )?;
+                            let base =
+                                (e * rows.len() + slot) * row_stride + co0 * width + dispatch.slot;
+                            for (k, slots) in produced.chunks_exact(dispatch.cols).enumerate() {
+                                let out = &mut buffer[base + k * width..][..dispatch.cols];
+                                if faults_on {
+                                    emit_faulty(
+                                        plan,
+                                        dispatch,
+                                        &ordinals,
+                                        faults,
+                                        rows[slot],
+                                        co0 + k,
+                                        out,
+                                        slots,
+                                    );
+                                } else {
+                                    add_slots(out.iter_mut(), slots, None);
+                                }
+                            }
                         }
                         co0 += group;
                     }
@@ -566,12 +600,15 @@ fn run_resident_shard(
     }
 
     if task.verify {
-        // Observed side: a linear f64 fold over each accumulated row slice.
-        // The buffer layout is `[channel][column]` per row, matching the
-        // per-layer path's channel-major observation order exactly.
+        // Observed side: a linear f64 fold over each accumulated row, walked
+        // channel-major with columns in ascending order (through the slot
+        // permutation) — the per-layer path's observation order exactly.
         for (i, check) in checks.iter_mut().enumerate() {
-            for &value in &buffer[i * row_stride..(i + 1) * row_stride] {
-                check.observed += f64::from(value);
+            let row = &buffer[i * row_stride..(i + 1) * row_stride];
+            for channel in row.chunks_exact(width) {
+                for &slot in &plan.column_slot {
+                    check.observed += f64::from(channel[slot]);
+                }
             }
         }
     }
@@ -579,6 +616,30 @@ fn run_resident_shard(
     let mut counts = pe.counts();
     counts.register_file_writes -= load_words;
     Ok((pe.busy_cycles(), counts, work_units, checks))
+}
+
+/// Adds channel `co`'s produced run of one dispatch into its output slots
+/// under armed faults: each carried chunk's piece consults the chunk's own
+/// emit-fault site (`(row, ordinal + g0, co)`, with `g0` the start of the
+/// channel group that chunk alone would dispatch `co` in).
+#[allow(clippy::too_many_arguments)]
+fn emit_faulty(
+    plan: &LayerPlan,
+    dispatch: &Dispatch,
+    ordinals: &[u64],
+    faults: ShardFaults<'_>,
+    row: usize,
+    co: usize,
+    out: &mut [f32],
+    produced: &[f32],
+) {
+    for (&idx, &ordinal) in dispatch.chunks.iter().zip(ordinals) {
+        let chunk = &plan.chunks[idx];
+        let g0 = co - co % chunk.group_max;
+        let piece = chunk.dispatch_col..chunk.dispatch_col + chunk.cols;
+        let fault = faults.emit_fault(row, ordinal + g0 as u64, co);
+        add_slots(out[piece.clone()].iter_mut(), &produced[piece], fault);
+    }
 }
 
 /// The compile-once, run-many inference engine: a persistent worker pool plus
@@ -1083,6 +1144,7 @@ impl InferenceEngine {
         let elements = inputs.len();
         let mut outputs: Vec<Tensor> = (0..elements).map(|_| Tensor::zeros(layer.output)).collect();
         let row_stride = co_count * width;
+        let column_slot = &plan.plan.column_slot;
         let mut busy_pe_cycles = 0u64;
         let mut counts = EventCounts::default();
         let mut work_units = 0u64;
@@ -1094,9 +1156,13 @@ impl InferenceEngine {
                 for (slot, &oy) in rows.iter().enumerate() {
                     let src = (e * rows.len() + slot) * row_stride;
                     for co in 0..co_count {
+                        // Shard rows are laid out in dispatch-major column
+                        // slots; map them back to column order.
                         let dst = (co * height + oy) * width;
-                        data[dst..dst + width]
-                            .copy_from_slice(&shard.buffer[src + co * width..][..width]);
+                        let slots = &shard.buffer[src + co * width..][..width];
+                        for (out, &s) in data[dst..dst + width].iter_mut().zip(column_slot) {
+                            *out = slots[s];
+                        }
                     }
                 }
             }
@@ -1644,5 +1710,58 @@ mod tests {
         // the abandoned wave left no stale tasks behind.
         assert_eq!(engine.respawns(), 0);
         assert!(lock_unpoisoned(&engine.shared.state).tasks.is_empty());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Across random strided transposed-convolution geometries in which
+        /// a tap class spans several phase chunks (so the engine bundles
+        /// them into one dispatch), the engine at pools 1 and 2 matches the
+        /// single-step reference bit for bit: outputs, busy cycles, counters
+        /// and work units.
+        #[test]
+        fn prop_bundled_dispatches_match_single_step_reference(
+            kernel in 3usize..6,
+            stride in 2usize..4,
+            padding in 0usize..3,
+            output_padding in 0usize..3,
+            width in 3usize..21,
+            height in 2usize..5,
+            in_channels in 1usize..3,
+            out_channels in 1usize..4,
+            seed in 0u64..1_000,
+        ) {
+            prop_assume!(output_padding < stride);
+            let params = ConvParams::transposed_2d(kernel, stride, padding)
+                .with_output_padding(0, output_padding, output_padding);
+            let built = NetworkBuilder::new("prop-bundle", Shape::new_2d(in_channels, height, width))
+                .tconv("up", out_channels, params, Activation::None)
+                .build();
+            // Degenerate geometry: nothing to compare.
+            prop_assume!(built.is_ok());
+            let net = built.unwrap();
+            let weights = toy_weights(&net, seed);
+            let layer = &net.layers()[0];
+            let machine = GanaxMachine::paper();
+            let planned = machine.plan_layer(layer, weights.weight(0)).unwrap();
+            prop_assume!(planned.plan.dispatches.iter().any(|d| d.chunks.len() > 1));
+
+            let input = Tensor::deterministic(net.input_shape(), seed + 7);
+            let reference = machine
+                .execute_layer_reference(layer, &input, weights.weight(0))
+                .unwrap();
+            for pool in [1, 2] {
+                let engine = InferenceEngine::new(machine, pool);
+                let compiled = engine.compile(&net, &weights).unwrap();
+                let run = engine.execute(&compiled, &input).unwrap();
+                prop_assert_eq!(&run.output, &reference.output, "pool {} output", pool);
+                prop_assert_eq!(run.total_counts(), reference.counts, "pool {} counts", pool);
+                prop_assert_eq!(run.total_busy_pe_cycles(), reference.busy_pe_cycles);
+                prop_assert_eq!(run.total_work_units(), reference.work_units);
+            }
+        }
     }
 }

@@ -198,10 +198,9 @@ pub(crate) struct ColumnRun {
     pub(crate) taps: usize,
 }
 
-/// A run of same-phase consequential output columns sharing a tap count,
-/// dispatched to a PE as one program: gathered operand streams, linear
-/// operand index generators, a strided output generator, and one
-/// `repeat`+`mac` µop pair per column.
+/// A run of same-phase consequential output columns sharing a tap count —
+/// the per-layer path's dispatch unit, and on every path the unit that fault
+/// sites ([`dispatch_ordinal_base`]) and ABFT checksum folds are keyed by.
 ///
 /// Phases are the paper's Figure 5 structure: transposed-convolution columns
 /// with the same `ox mod stride` residue read the same number of consequential
@@ -217,16 +216,41 @@ pub(crate) struct ColumnChunk {
     pub(crate) cols: usize,
     /// Consequential taps of every column in the chunk.
     pub(crate) taps: usize,
-    /// Per stream element, the weight-row offset it gathers (`cols × taps`
-    /// entries; offsets are bounded by the kernel width).
-    pub(crate) weight_offsets: Vec<u16>,
+    /// The largest output-channel group one dispatch of this chunk alone
+    /// carries (see [`group_max`]); fault sites keep this grouping.
+    pub(crate) group_max: usize,
+    /// Index of the [`Dispatch`] that carries the chunk.
+    pub(crate) dispatch: usize,
+    /// The chunk's first column within its dispatch.
+    pub(crate) dispatch_col: usize,
+}
+
+/// A row's equal-tap chunks bundled into one engine dispatch: one operand
+/// stream of `cols × taps` words (the chunks' streams concatenated in
+/// ascending chunk index), one `repeat`+`mac` µop pair per column and channel,
+/// and one contiguous run of column slots in the engine's dispatch-major row
+/// layout ([`LayerPlan::column_slot`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Dispatch {
+    /// Consequential taps of every column.
+    pub(crate) taps: usize,
+    /// Columns across all carried chunks.
+    pub(crate) cols: usize,
+    /// The largest output-channel group one dispatch carries.
+    pub(crate) group_max: usize,
+    /// The carried chunks, ascending.
+    pub(crate) chunks: Vec<usize>,
+    /// First column slot of the dispatch in a dispatch-major row.
+    pub(crate) slot: usize,
+    /// Per column, the first input column it reads.
+    pub(crate) input_starts: Vec<usize>,
 }
 
 /// Everything about a layer that the seed implementation recomputed per work
 /// unit, hoisted out of the hot loop: consequential vertical taps per output
-/// row, consequential column runs per output column (grouped into
-/// equal-tap-count chunks), and pre-gathered weight rows (spatially flipped
-/// for transposed convolutions). Shared read-only by every worker PE.
+/// row, consequential columns grouped into equal-tap-count chunks and
+/// dispatches, and pre-gathered weight rows (spatially flipped for transposed
+/// convolutions). Shared read-only by every worker PE.
 pub(crate) struct LayerPlan {
     /// Per output row: the consequential `(ky, iy)` vertical taps.
     pub(crate) row_taps: Vec<Vec<(usize, usize)>>,
@@ -235,23 +259,28 @@ pub(crate) struct LayerPlan {
     /// otherwise. Sharding round-robins over this order so every worker gets
     /// the same mix of shallow- and deep-phase rows.
     pub(crate) row_order: Vec<usize>,
-    /// Per output column: the consequential column run, if any.
-    pub(crate) column_runs: Vec<Option<ColumnRun>>,
-    /// Consequential columns grouped into dispatchable chunks.
+    /// Consequential columns grouped into phase chunks.
     pub(crate) chunks: Vec<ColumnChunk>,
-    /// Every chunk's gathered weight streams, pre-staged at plan time: for
-    /// chunk `x`, the stream of `(ky, ci, co)` starts at
-    /// `weight_stream_base[x] + ((ky * input_channels + ci) * output_channels
-    /// + co) * stream` and runs `stream = taps × cols` words. Weight gathering
-    /// is row-independent, so the seed path's per-(row × shard) re-gather —
-    /// the dominant duplicated work under threading — collapses to one
-    /// `memcpy` per dispatch. `co` is innermost so a whole channel group's
-    /// streams are one contiguous slice.
+    /// Chunks bundled by tap count into engine dispatches.
+    pub(crate) dispatches: Vec<Dispatch>,
+    /// Per output column, its slot in a dispatch-major row: every dispatch's
+    /// columns are contiguous (in dispatch order), inconsequential columns
+    /// come last. A permutation of `0..width`.
+    pub(crate) column_slot: Vec<usize>,
+    /// Every dispatch's gathered weight streams, pre-staged at plan time: for
+    /// dispatch `d`, the stream of `(ky, ci, co)` starts at
+    /// `weight_stream_base[d] + ((ky * input_channels + ci) *
+    /// output_channels + co) * stream` and runs `stream = taps × cols` words
+    /// (a carried chunk's piece starts `dispatch_col × taps` words in).
+    /// Weight gathering is row-independent, so the seed path's per-(row ×
+    /// shard) re-gather — the dominant duplicated work under threading —
+    /// collapses to one `memcpy` per dispatch. `co` is innermost so a whole
+    /// channel group's streams are one contiguous slice.
     pub(crate) weight_streams: Vec<f32>,
-    /// Per chunk: base offset of its streams in `weight_streams`.
+    /// Per dispatch: base offset of its streams in `weight_streams`.
     pub(crate) weight_stream_base: Vec<usize>,
-    /// ABFT weight checksums, precomputed at plan time: for chunk `x`, the
-    /// checksum stream of `(ky, ci)` starts at `checksum_stream_base[x] +
+    /// ABFT weight checksums, precomputed at plan time: for dispatch `d`,
+    /// the checksum stream of `(ky, ci)` starts at `checksum_stream_base[d] +
     /// (ky * input_channels + ci) * stream` and holds, per stream element,
     /// the f64 sum of that element's weight over every output channel
     /// (`co` ascending — the Huang–Abraham column sum). Dotting a clean
@@ -264,7 +293,7 @@ pub(crate) struct LayerPlan {
     /// the verification tolerance is derived from (a cancellation-proof
     /// bound, unlike `|checksum|`).
     pub(crate) abs_checksum_streams: Vec<f64>,
-    /// Per chunk: base offset of its streams in `checksum_streams` /
+    /// Per dispatch: base offset of its streams in `checksum_streams` /
     /// `abs_checksum_streams`.
     pub(crate) checksum_stream_base: Vec<usize>,
     /// Kernel height (rows per `(co, ci)` filter plane).
@@ -287,7 +316,6 @@ impl LayerPlan {
         params: &ConvParams,
         pe: &PeConfig,
     ) -> Vec<ColumnChunk> {
-        let max_pairs = pe.uop_fifo_entries / 2;
         let col_step = match params.kind {
             ConvKind::Transposed => params.stride.2,
             ConvKind::Conventional => 1,
@@ -301,10 +329,7 @@ impl LayerPlan {
                     continue;
                 };
                 let taps = run.taps;
-                let max_cols = max_pairs
-                    .min(pe.input_words / taps)
-                    .min(pe.weight_words / taps)
-                    .max(1);
+                let max_cols = max_dispatch_cols(pe, taps);
                 let mut cols = 1;
                 while cols < max_cols
                     && column_runs
@@ -314,25 +339,83 @@ impl LayerPlan {
                 {
                     cols += 1;
                 }
-                let weight_offsets = (0..cols)
-                    .flat_map(|c| {
-                        let run = column_runs[ox + c * col_step]
-                            .as_ref()
-                            .expect("chunk covers consequential columns");
-                        (0..taps).map(move |j| (run.kernel_start + j * run.kernel_step) as u16)
-                    })
-                    .collect();
                 chunks.push(ColumnChunk {
                     ox_start: ox,
                     col_step,
                     cols,
                     taps,
-                    weight_offsets,
+                    group_max: group_max(pe, cols, taps),
+                    dispatch: 0,
+                    dispatch_col: 0,
                 });
                 ox += cols * col_step;
             }
         }
         chunks
+    }
+
+    /// Bundles the chunks into dispatches: walking chunks in ascending index,
+    /// each joins the open dispatch of its tap count while the combined
+    /// columns stay within the bounds [`LayerPlan::build_chunks`] applies,
+    /// and opens a new one otherwise. Records each chunk's dispatch and
+    /// offset, and lays the row out dispatch-major (the returned column
+    /// slots).
+    fn bundle_chunks(
+        chunks: &mut [ColumnChunk],
+        column_runs: &[Option<ColumnRun>],
+        pe: &PeConfig,
+    ) -> (Vec<Dispatch>, Vec<usize>) {
+        let mut dispatches: Vec<Dispatch> = Vec::new();
+        for (idx, chunk) in chunks.iter_mut().enumerate() {
+            let open = dispatches.iter().rposition(|d| d.taps == chunk.taps);
+            let d = match open {
+                Some(d) if dispatches[d].cols + chunk.cols <= max_dispatch_cols(pe, chunk.taps) => {
+                    d
+                }
+                _ => {
+                    dispatches.push(Dispatch {
+                        taps: chunk.taps,
+                        cols: 0,
+                        group_max: 0,
+                        chunks: Vec::new(),
+                        slot: 0,
+                        input_starts: Vec::new(),
+                    });
+                    dispatches.len() - 1
+                }
+            };
+            let dispatch = &mut dispatches[d];
+            chunk.dispatch = d;
+            chunk.dispatch_col = dispatch.cols;
+            dispatch.cols += chunk.cols;
+            dispatch.chunks.push(idx);
+            dispatch.input_starts.extend((0..chunk.cols).map(|c| {
+                column_runs[chunk.ox_start + c * chunk.col_step]
+                    .as_ref()
+                    .expect("chunks cover consequential columns")
+                    .input_start
+            }));
+        }
+        let width = column_runs.len();
+        let mut column_slot = vec![usize::MAX; width];
+        let mut next = 0;
+        for dispatch in &mut dispatches {
+            dispatch.group_max = group_max(pe, dispatch.cols, dispatch.taps);
+            dispatch.slot = next;
+            for &idx in &dispatch.chunks {
+                let chunk = &chunks[idx];
+                for c in 0..chunk.cols {
+                    column_slot[chunk.ox_start + c * chunk.col_step] =
+                        next + chunk.dispatch_col + c;
+                }
+            }
+            next += dispatch.cols;
+        }
+        for slot in column_slot.iter_mut().filter(|s| **s == usize::MAX) {
+            *slot = next;
+            next += 1;
+        }
+        (dispatches, column_slot)
     }
 
     fn build(layer: &Layer, params: &ConvParams, weights: &Tensor, pe: &PeConfig) -> Self {
@@ -362,7 +445,8 @@ impl LayerPlan {
         let column_runs: Vec<Option<ColumnRun>> = (0..layer.output.width)
             .map(|ox| column_run(ox, params, layer.input.width))
             .collect();
-        let chunks = Self::build_chunks(&column_runs, params, pe);
+        let mut chunks = Self::build_chunks(&column_runs, params, pe);
+        let (dispatches, column_slot) = Self::bundle_chunks(&mut chunks, &column_runs, pe);
 
         let (kernel_h, kernel_w) = (params.kernel.1, params.kernel.2);
         let (co_count, ci_count) = (layer.output.channels, layer.input.channels);
@@ -387,14 +471,14 @@ impl LayerPlan {
                 }
             }
         }
-        // Stage every chunk's gathered weight streams once at plan time
-        // (they depend only on `(chunk, ky, ci, co)`, never on the output
+        // Stage every dispatch's gathered weight streams once at plan time
+        // (they depend only on `(dispatch, ky, ci, co)`, never on the output
         // row), so the hot path loads weights with a straight copy instead
         // of re-gathering the same stream for every row on every worker.
-        let total_stream: usize = chunks.iter().map(|c| c.taps * c.cols).sum();
+        let total_stream: usize = dispatches.iter().map(|d| d.taps * d.cols).sum();
         let mut weight_streams = Vec::with_capacity(total_stream * kernel_h * ci_count * co_count);
-        let mut weight_stream_base = Vec::with_capacity(chunks.len());
-        // The ABFT column-sum checksums ride along: per `(chunk, ky, ci)`
+        let mut weight_stream_base = Vec::with_capacity(dispatches.len());
+        // The ABFT column-sum checksums ride along: per `(dispatch, ky, ci)`
         // stream element, the (f64) sum of the weight over every output
         // channel, plus the absolute-value companion that scales the
         // verification tolerance. Both are cheap (one extra pass over data
@@ -402,8 +486,23 @@ impl LayerPlan {
         // valid under every `IntegrityMode`.
         let mut checksum_streams = Vec::with_capacity(total_stream * kernel_h * ci_count);
         let mut abs_checksum_streams = Vec::with_capacity(total_stream * kernel_h * ci_count);
-        let mut checksum_stream_base = Vec::with_capacity(chunks.len());
-        for chunk in &chunks {
+        let mut checksum_stream_base = Vec::with_capacity(dispatches.len());
+        for dispatch in &dispatches {
+            // Per stream element, the kernel column it gathers.
+            let weight_offsets: Vec<usize> = dispatch
+                .chunks
+                .iter()
+                .flat_map(|&idx| {
+                    let chunk = &chunks[idx];
+                    (0..chunk.cols).map(|c| chunk.ox_start + c * chunk.col_step)
+                })
+                .flat_map(|ox| {
+                    let run = column_runs[ox]
+                        .as_ref()
+                        .expect("chunks cover consequential columns");
+                    (0..run.taps).map(move |j| run.kernel_start + j * run.kernel_step)
+                })
+                .collect();
             weight_stream_base.push(weight_streams.len());
             checksum_stream_base.push(checksum_streams.len());
             for ky in 0..kernel_h {
@@ -411,14 +510,9 @@ impl LayerPlan {
                     for co in 0..co_count {
                         let row = (co * ci_count + ci) * kernel_h + ky;
                         let weight_row = &weight_rows[row * kernel_w..(row + 1) * kernel_w];
-                        weight_streams.extend(
-                            chunk
-                                .weight_offsets
-                                .iter()
-                                .map(|&offset| weight_row[offset as usize]),
-                        );
+                        weight_streams.extend(weight_offsets.iter().map(|&kx| weight_row[kx]));
                     }
-                    let stream = chunk.taps * chunk.cols;
+                    let stream = dispatch.taps * dispatch.cols;
                     let group = &weight_streams[weight_streams.len() - co_count * stream..];
                     for element in 0..stream {
                         let mut sum = 0.0f64;
@@ -438,8 +532,9 @@ impl LayerPlan {
         LayerPlan {
             row_taps,
             row_order,
-            column_runs,
             chunks,
+            dispatches,
+            column_slot,
             weight_streams,
             weight_stream_base,
             checksum_streams,
@@ -509,29 +604,40 @@ pub(crate) fn row_checksum_ok(plan: &LayerPlan, oy: usize, check: &RowChecksum) 
     residual <= row_tolerance(plan, oy, check.magnitude)
 }
 
-/// Folds one *clean* (pre-corruption) gathered input stream into a row's
-/// checksum accumulators: the predicted output checksum gains
+/// Folds one chunk's *clean* operand stream — read straight from the input
+/// row, so no scheduled corruption can reach it — into a row's checksum
+/// accumulators: the predicted output checksum gains
 /// `Σ checksum(W)[el] · x[el]`, the magnitude bound gains
-/// `Σ |W|-checksum[el] · |x[el]|`. Must be called between gathering and
-/// fault corruption — corruption applies to the stream the PEs actually
-/// consume, so checksumming afterwards would make the prediction track the
-/// corruption instead of detecting it.
+/// `Σ |W|-checksum[el] · |x[el]|`, element by element in stream order.
+/// Callers fold chunks in `ky → ci → chunk` order, whatever order they
+/// dispatch in, so the triple is the same on every path.
 pub(crate) fn accumulate_input_checksum(
     plan: &LayerPlan,
     chunk_idx: usize,
-    stream: usize,
     ky: usize,
     ci: usize,
-    clean: &[f32],
+    input_row: &[f32],
     check: &mut RowChecksum,
 ) {
-    let base = plan.checksum_stream_base[chunk_idx] + (ky * plan.input_channels + ci) * stream;
+    let chunk = &plan.chunks[chunk_idx];
+    let dispatch = &plan.dispatches[chunk.dispatch];
+    let base = plan.checksum_stream_base[chunk.dispatch]
+        + (ky * plan.input_channels + ci) * dispatch.taps * dispatch.cols
+        + chunk.dispatch_col * chunk.taps;
+    let stream = chunk.taps * chunk.cols;
     let csum = &plan.checksum_streams[base..base + stream];
     let abs = &plan.abs_checksum_streams[base..base + stream];
-    for (element, &x) in clean.iter().enumerate() {
-        let x = f64::from(x);
-        check.predicted += csum[element] * x;
-        check.magnitude += abs[element] * x.abs();
+    let columns = chunk_input_starts(plan, chunk)
+        .iter()
+        .zip(csum.chunks_exact(chunk.taps))
+        .zip(abs.chunks_exact(chunk.taps));
+    for ((&start, csum), abs) in columns {
+        let clean = &input_row[start..start + chunk.taps];
+        for ((&x, &w), &w_abs) in clean.iter().zip(csum).zip(abs) {
+            let x = f64::from(x);
+            check.predicted += w * x;
+            check.magnitude += w_abs * x.abs();
+        }
     }
 }
 
@@ -574,17 +680,18 @@ impl ShardFaults<'_> {
         }
     }
 
-    /// Applies scheduled weight corruption to one staged weight block.
-    /// Weight sites carry no row coordinate — the same `(ky, ci, chunk,
-    /// group)` stream serves many rows — so every load corrupts identically.
-    fn corrupt_weight_block(&self, ordinal: u64, buf: &mut [f32]) {
+    /// Applies scheduled weight corruption to a staged weight slice whose
+    /// first word is element `first` of the `(ky, ci, chunk, group)` block
+    /// at `ordinal`. Weight sites carry no row coordinate — the same block
+    /// serves many rows — so every load corrupts identically.
+    fn corrupt_weights(&self, ordinal: u64, first: usize, buf: &mut [f32]) {
         if !self.injector.is_enabled() {
             return;
         }
         for (element, value) in buf.iter_mut().enumerate() {
-            *value = self
-                .injector
-                .corrupt_weight(self.layer_index, ordinal, element, *value);
+            *value =
+                self.injector
+                    .corrupt_weight(self.layer_index, ordinal, first + element, *value);
         }
     }
 
@@ -650,10 +757,25 @@ fn column_cycle_budget(taps: usize) -> u64 {
     2 * taps as u64 + 16
 }
 
-/// Cycle budget of one chunk dispatch: the per-column budgets of every column
-/// in the chunk.
-fn chunk_cycle_budget(chunk: &ColumnChunk) -> u64 {
-    column_cycle_budget(chunk.taps) * chunk.cols as u64
+/// The most columns of `taps` taps one dispatch may carry: its µop pairs
+/// must fit the µop FIFO and its gathered operand streams the input and
+/// weight scratchpads. Bounds chunks and the dispatches bundling them alike.
+fn max_dispatch_cols(pe: &PeConfig, taps: usize) -> usize {
+    (pe.uop_fifo_entries / 2)
+        .min(pe.input_words / taps)
+        .min(pe.weight_words / taps)
+        .max(1)
+}
+
+/// The largest output-channel group one dispatch of `cols` columns of
+/// `taps` taps can carry: its µop pairs must fit the µop FIFO, its
+/// concatenated weight streams the weight scratchpad, and its output words
+/// the output scratchpad.
+fn group_max(pe: &PeConfig, cols: usize, taps: usize) -> usize {
+    (pe.uop_fifo_entries / 2 / cols)
+        .min(pe.weight_words / (cols * taps))
+        .min(pe.output_words / cols)
+        .max(1)
 }
 
 impl GanaxMachine {
@@ -1080,7 +1202,9 @@ impl GanaxMachine {
 /// * columns dispatch chunk-wise — a chunk's operand values are gathered
 ///   into contiguous streams walked by linear index generators while one
 ///   `repeat`+`mac` µop pair per column drains them, which the PE retires as
-///   a single provably stall-free burst;
+///   a single provably stall-free burst (the engine bundles equal-tap chunks
+///   into larger dispatches; this per-chunk runner is its independent
+///   oracle);
 /// * output channels batch — a gathered input stream depends only on
 ///   `(oy, ky, ci)`, so it is loaded once and *replayed* by the input
 ///   generator's repeat register across a whole group of output channels,
@@ -1135,41 +1259,30 @@ fn run_shard(
                 for (chunk_idx, chunk) in plan.chunks.iter().enumerate() {
                     let base = dispatch_ordinal_base(plan, layer, ky, ci, chunk_idx);
                     let stream = chunk.taps * chunk.cols;
+                    if verify {
+                        accumulate_input_checksum(plan, chunk_idx, ky, ci, input_row, &mut check);
+                    }
                     pe.load_input_with(stream, |buf| {
-                        gather_chunk_input(plan, chunk, input_row, buf);
-                        if verify {
-                            // Checksum the stream *before* corruption: the
-                            // prediction must track the clean computation.
-                            accumulate_input_checksum(
-                                plan, chunk_idx, stream, ky, ci, buf, &mut check,
-                            );
-                        }
+                        gather_input(chunk.taps, chunk_input_starts(plan, chunk), input_row, buf);
                         faults.corrupt_input_stream(oy, base, buf);
                     });
                     load_words += stream as u64;
 
-                    let group_max = chunk_group_max(pe_config, chunk, stream);
                     let mut co0 = 0;
                     while co0 < co_rows.len() {
-                        let group = group_max.min(co_rows.len() - co0);
+                        let group = chunk.group_max.min(co_rows.len() - co0);
                         load_words += load_chunk_weights(
-                            &mut pe,
-                            plan,
-                            chunk_idx,
-                            stream,
-                            group,
-                            co0,
-                            ci,
-                            ky,
-                            faults,
-                            base + co0 as u64,
+                            &mut pe, plan, chunk, group, co0, ci, ky, faults, base,
                         );
-                        retire_chunk_group(&mut pe, chunk, stream, group, 0, layer, |k, slots| {
+                        let produced =
+                            retire_group(&mut pe, chunk.taps, chunk.cols, group, 0, layer)?;
+                        for (k, slots) in produced.chunks_exact(chunk.cols).enumerate() {
                             let fault = faults_on
                                 .then(|| faults.emit_fault(oy, base + co0 as u64, co0 + k))
                                 .flatten();
-                            scatter_slots(co_rows[co0 + k], chunk, slots, fault);
-                        })?;
+                            let row = co_rows[co0 + k][chunk.ox_start..].iter_mut();
+                            add_slots(row.step_by(chunk.col_step), slots, fault);
+                        }
                         co0 += group;
                     }
                 }
@@ -1177,8 +1290,8 @@ fn run_shard(
         }
         if verify {
             // The observed checksum walks the finished row channel-major
-            // (`co` ascending, columns ascending) — the same linear order
-            // the engine's resident buffer layout yields.
+            // (`co` ascending, columns ascending) — the order the engine's
+            // fold walks its slot-permuted rows in.
             for row in &co_rows {
                 for &value in row.iter() {
                     check.observed += f64::from(value);
@@ -1193,110 +1306,77 @@ fn run_shard(
     Ok((pe.busy_cycles(), counts, work_units, checks))
 }
 
-/// The largest output-channel group one dispatch of `chunk` can carry: its
-/// µop pairs must fit the µop FIFO, its concatenated weight streams the
-/// weight scratchpad, and its output words the output scratchpad. Shared by
-/// the per-layer shard runner and the engine's resident-PE worker so the two
-/// paths can never disagree on dispatch shapes (their results are
-/// contractually bit-identical).
-pub(crate) fn chunk_group_max(pe_config: &PeConfig, chunk: &ColumnChunk, stream: usize) -> usize {
-    (pe_config.uop_fifo_entries / 2 / chunk.cols)
-        .min(pe_config.weight_words / stream)
-        .min(pe_config.output_words / chunk.cols)
-        .max(1)
-}
-
-/// Gathers one input row's operand stream for `chunk` into `dst`
-/// (`taps × cols` words, one contiguous column run after another). Like the
+/// Gathers one input row's operand stream into `dst`: `taps` words starting
+/// at each column's first input column, one column after another. Like the
 /// PE's canonical retire, the copy is monomorphised on the tap counts the
 /// zoo's plans produce, with one generic instance for every other count.
-pub(crate) fn gather_chunk_input(
-    plan: &LayerPlan,
-    chunk: &ColumnChunk,
-    input_row: &[f32],
-    dst: &mut [f32],
-) {
-    match chunk.taps {
-        1 => gather_columns::<1>(plan, chunk, input_row, dst),
-        2 => gather_columns::<2>(plan, chunk, input_row, dst),
-        3 => gather_columns::<3>(plan, chunk, input_row, dst),
+pub(crate) fn gather_input(taps: usize, starts: &[usize], input_row: &[f32], dst: &mut [f32]) {
+    match taps {
+        1 => gather_columns::<1>(starts, input_row, dst),
+        2 => gather_columns::<2>(starts, input_row, dst),
+        3 => gather_columns::<3>(starts, input_row, dst),
         taps => {
-            for (c, slot) in dst.chunks_exact_mut(taps).enumerate() {
-                let start = chunk_input_start(plan, chunk, c);
+            for (&start, slot) in starts.iter().zip(dst.chunks_exact_mut(taps)) {
                 slot.copy_from_slice(&input_row[start..start + taps]);
             }
         }
     }
 }
 
-/// [`gather_chunk_input`] for a compile-time tap count `R`.
-fn gather_columns<const R: usize>(
-    plan: &LayerPlan,
-    chunk: &ColumnChunk,
-    input_row: &[f32],
-    dst: &mut [f32],
-) {
+/// [`gather_input`] for a compile-time tap count `R`.
+fn gather_columns<const R: usize>(starts: &[usize], input_row: &[f32], dst: &mut [f32]) {
     let (slots, _) = dst.as_chunks_mut::<R>();
-    for (c, slot) in slots.iter_mut().enumerate() {
-        let start = chunk_input_start(plan, chunk, c);
+    for (&start, slot) in starts.iter().zip(slots) {
         slot.copy_from_slice(&input_row[start..start + R]);
     }
 }
 
-/// First input column read by column `c` of `chunk`.
-fn chunk_input_start(plan: &LayerPlan, chunk: &ColumnChunk, c: usize) -> usize {
-    plan.column_runs[chunk.ox_start + c * chunk.col_step]
-        .as_ref()
-        .expect("chunks cover consequential columns")
-        .input_start
+/// Per column of `chunk`, the first input column it reads.
+fn chunk_input_starts<'a>(plan: &'a LayerPlan, chunk: &ColumnChunk) -> &'a [usize] {
+    &plan.dispatches[chunk.dispatch].input_starts[chunk.dispatch_col..][..chunk.cols]
 }
 
-/// Adds one channel's produced partial sums into its output row:
-/// `slots[c]` lands on column `chunk.ox_start + c * chunk.col_step`. An
-/// injected emit fault drops the contribution (stuck lane, dropped µop) or
-/// adds it twice (duplicated µop). Shared by both shard runners, so their
-/// scatters stay bit-identical.
-pub(crate) fn scatter_slots(
-    row: &mut [f32],
-    chunk: &ColumnChunk,
+/// Adds one channel's produced partial sums into its output words, in
+/// order: `out` yields the word each of `slots` lands on. An injected emit
+/// fault drops the contribution (stuck lane, dropped µop) or adds it twice
+/// (duplicated µop). Shared by both shard runners, so their emits stay
+/// bit-identical.
+pub(crate) fn add_slots<'a>(
+    out: impl Iterator<Item = &'a mut f32>,
     slots: &[f32],
     fault: Option<EmitFault>,
 ) {
-    let columns = row[chunk.ox_start..].iter_mut().step_by(chunk.col_step);
     match fault {
         Some(EmitFault::StuckLane | EmitFault::DroppedUop) => {}
         Some(EmitFault::DuplicatedUop) => {
-            for (out, &value) in columns.zip(slots) {
+            for (out, &value) in out.zip(slots) {
                 *out += value;
                 *out += value;
             }
         }
         None => {
-            for (out, &value) in columns.zip(slots) {
+            for (out, &value) in out.zip(slots) {
                 *out += value;
             }
         }
     }
 }
 
-/// Stages the gathered weight streams of one `(chunk, ci, ky, channel
-/// group)` into the weight scratchpad, returning the words loaded (bulk
-/// loads are excluded from the reported counts by the callers). `ordinal`
-/// is the group's dispatch ordinal ([`dispatch_ordinal_base`]` + co0`),
-/// the coordinate of any scheduled weight corruption.
+/// Stages the weight streams of one `(chunk, ci, ky, channel group)` into
+/// the weight scratchpad, returning the words loaded (bulk loads are
+/// excluded from the reported counts by the callers). `ordinal` is the
+/// chunk's [`dispatch_ordinal_base`]; the group's weight-fault sites sit at
+/// `ordinal + co0`.
 ///
-/// The streams were gathered once at plan time ([`LayerPlan::weight_streams`])
-/// so the load is a single contiguous copy. Scheduled corruption applies to
-/// the PE-local buffer *after* the copy — the shared plan is never mutated —
-/// and weight fault sites carry no row coordinate, so every load of the same
-/// `(ky, ci, chunk, group)` corrupts identically, exactly as the per-load
-/// gather did.
+/// The streams were gathered once at plan time ([`LayerPlan::weight_streams`],
+/// laid out per dispatch), so the load copies the chunk's piece of each
+/// channel's stream. Scheduled corruption applies to the PE-local buffer
+/// *after* the copy — the shared plan is never mutated.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn load_chunk_weights(
+fn load_chunk_weights(
     pe: &mut ProcessingEngine,
     plan: &LayerPlan,
-    chunk_idx: usize,
-    stream: usize,
+    chunk: &ColumnChunk,
     group: usize,
     co0: usize,
     ci: usize,
@@ -1304,58 +1384,106 @@ pub(crate) fn load_chunk_weights(
     faults: ShardFaults<'_>,
     ordinal: u64,
 ) -> u64 {
-    let base = plan.weight_stream_base[chunk_idx]
-        + ((ky * plan.input_channels + ci) * plan.output_channels + co0) * stream;
+    let dispatch = &plan.dispatches[chunk.dispatch];
+    let dispatch_stream = dispatch.taps * dispatch.cols;
+    let stream = chunk.taps * chunk.cols;
+    let base = plan.weight_stream_base[chunk.dispatch]
+        + ((ky * plan.input_channels + ci) * plan.output_channels + co0) * dispatch_stream
+        + chunk.dispatch_col * chunk.taps;
     pe.load_weights_with(group * stream, |buf| {
-        buf.copy_from_slice(&plan.weight_streams[base..base + group * stream]);
-        faults.corrupt_weight_block(ordinal, buf);
+        for (k, dst) in buf.chunks_exact_mut(stream).enumerate() {
+            let src = base + k * dispatch_stream;
+            dst.copy_from_slice(&plan.weight_streams[src..src + stream]);
+        }
+        faults.corrupt_weights(ordinal + co0 as u64, 0, buf);
     });
     (group * stream) as u64
 }
 
-/// Dispatches one chunk × channel-group program against the input stream
-/// resident at `input_base`, retires it as one burst, and hands each
-/// channel's produced partial sums to `emit(k, slots)` (`k` indexes the
-/// channel within the group; `slots[c]` belongs to output column
-/// `ox_start + c * col_step`). The slice form lets callers scatter with a
-/// tight per-row loop instead of a bounds-checked store per element. This is
-/// the single definition of the hot dispatch body shared by `run_shard` and
-/// the engine's resident-PE worker — the bit-identity guarantee between
-/// those paths rests on them issuing exactly this program.
+/// Stages the weight streams of one `(dispatch, ci, ky, channel group)` into
+/// the weight scratchpad as a single contiguous copy, returning the words
+/// loaded. `ordinals[i]` is the [`dispatch_ordinal_base`] of the dispatch's
+/// `i`-th chunk.
+///
+/// Scheduled corruption keeps each chunk's own fault sites: channel `co`'s
+/// piece of chunk `x` is corrupted at `ordinals[i] + g0`, element
+/// `(co - g0) × stream + e`, where `g0` starts the channel group that chunk
+/// `x` alone would dispatch `co` in — exactly the sites
+/// `load_chunk_weights` corrupts on the per-layer path.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn load_dispatch_weights(
+    pe: &mut ProcessingEngine,
+    plan: &LayerPlan,
+    d: usize,
+    group: usize,
+    co0: usize,
+    ci: usize,
+    ky: usize,
+    faults: Option<(ShardFaults<'_>, &[u64])>,
+) -> u64 {
+    let dispatch = &plan.dispatches[d];
+    let stream = dispatch.taps * dispatch.cols;
+    let base = plan.weight_stream_base[d]
+        + ((ky * plan.input_channels + ci) * plan.output_channels + co0) * stream;
+    pe.load_weights_with(group * stream, |buf| {
+        buf.copy_from_slice(&plan.weight_streams[base..base + group * stream]);
+        let Some((faults, ordinals)) = faults else {
+            return;
+        };
+        for (k, channel) in buf.chunks_exact_mut(stream).enumerate() {
+            let co = co0 + k;
+            for (&idx, &ordinal) in dispatch.chunks.iter().zip(ordinals) {
+                let chunk = &plan.chunks[idx];
+                let piece = chunk.taps * chunk.cols;
+                let g0 = co - co % chunk.group_max;
+                let at = chunk.dispatch_col * chunk.taps;
+                faults.corrupt_weights(
+                    ordinal + g0 as u64,
+                    (co - g0) * piece,
+                    &mut channel[at..at + piece],
+                );
+            }
+        }
+    });
+    (group * stream) as u64
+}
+
+/// Dispatches one `group × cols` program of `taps`-tap columns against the
+/// input stream resident at `input_base`, retires it as one burst, and
+/// returns the produced partial sums: `group` channel runs of `cols` words,
+/// channel-major. This is the single definition of the hot dispatch body
+/// shared by `run_shard` and the engine's resident-PE worker.
 ///
 /// # Errors
-/// [`MachineError::Timeout`] when the PE fails to drain within the chunk's
-/// work-derived budget, and [`MachineError::UopOverflow`] from the dispatch.
-pub(crate) fn retire_chunk_group(
-    pe: &mut ProcessingEngine,
-    chunk: &ColumnChunk,
-    stream: usize,
+/// [`MachineError::Timeout`] when the PE fails to drain within the
+/// dispatch's work-derived budget, and [`MachineError::UopOverflow`] from the
+/// dispatch.
+pub(crate) fn retire_group<'a>(
+    pe: &'a mut ProcessingEngine,
+    taps: usize,
+    cols: usize,
     group: usize,
     input_base: usize,
     layer: &Layer,
-    mut emit: impl FnMut(usize, &[f32]),
-) -> Result<(), MachineError> {
-    dispatch_group(pe, chunk, stream, group, input_base, layer)?;
-    pe.run_until_idle_burst(chunk_cycle_budget(chunk) * group as u64);
+) -> Result<&'a [f32], MachineError> {
+    dispatch_group(pe, taps, cols, group, input_base, layer)?;
+    pe.run_until_idle_burst(column_cycle_budget(taps) * (cols * group) as u64);
     if !pe.is_idle() {
         return Err(MachineError::Timeout {
             layer: layer.name.clone(),
         });
     }
-    let produced = pe.output_contents();
-    for k in 0..group {
-        emit(k, &produced[k * chunk.cols..(k + 1) * chunk.cols]);
-    }
-    Ok(())
+    Ok(&pe.output_contents()[..group * cols])
 }
 
-/// Configures the index generators for one chunk × channel-group dispatch
-/// and enqueues its µop pairs: the input generator replays the shared stream
-/// once per channel, the weight generator walks the concatenated per-channel
-/// streams, and the output generator hands each program its own word. The
-/// pairs are pushed virtually ([`ProcessingEngine::try_push_mac_pairs`]), so
-/// the µop FIFO records a count instead of materializing `2 × cols × group`
-/// entries and the PE retires the whole dispatch in closed form.
+/// Configures the index generators for one `group × cols` dispatch and
+/// enqueues its µop pairs: the input generator replays the shared
+/// `cols × taps` stream once per channel, the weight generator walks the
+/// concatenated per-channel streams, and the output generator hands each
+/// program its own word. The pairs are pushed virtually
+/// ([`ProcessingEngine::try_push_mac_pairs`]), so the µop FIFO records a
+/// count instead of materializing `2 × cols × group` entries and the PE
+/// retires the whole dispatch in closed form.
 ///
 /// `input_base` selects which resident input stream the dispatch reads: the
 /// input generator walks `[input_base, input_base + stream)` through its
@@ -1364,12 +1492,13 @@ pub(crate) fn retire_chunk_group(
 /// streams and addresses one per dispatch.
 fn dispatch_group(
     pe: &mut ProcessingEngine,
-    chunk: &ColumnChunk,
-    stream: usize,
+    taps: usize,
+    cols: usize,
     group: usize,
     input_base: usize,
     layer: &Layer,
 ) -> Result<(), MachineError> {
+    let stream = taps * cols;
     pe.configure_generator(
         AddrGenKind::Input,
         GeneratorConfig {
@@ -1396,13 +1525,13 @@ fn dispatch_group(
             addr: 0,
             offset: 0,
             step: 1,
-            end: (group * chunk.cols) as u16,
+            end: (group * cols) as u16,
             repeat: 1,
         },
     );
     pe.start_all();
-    pe.set_repeat(chunk.taps as u16);
-    pe.try_push_mac_pairs(chunk.cols * group)
+    pe.set_repeat(taps as u16);
+    pe.try_push_mac_pairs(cols * group)
         .map_err(|_| MachineError::UopOverflow {
             layer: layer.name.clone(),
         })
@@ -1767,6 +1896,169 @@ mod tests {
             machine.execute_layer(&layer, &input, &bad_weights),
             Err(MachineError::ShapeMismatch { .. })
         ));
+    }
+
+    /// Asserts the dispatch-bundling invariants of one plan: every
+    /// consequential column sits in exactly one dispatch (at its chunk's
+    /// offset and slot, reading its own input column), a dispatch's columns
+    /// share one tap count, the column slots are a permutation of
+    /// `0..width`, and every dispatch's programs, streams and channel groups
+    /// fit the PE they were planned for.
+    fn check_dispatch_invariants(layer: &Layer, plan: &LayerPlan, pe: &PeConfig) {
+        let params = layer.op.conv_params().unwrap();
+        let width = layer.output.width;
+        let mut owner: Vec<Option<usize>> = vec![None; width];
+        for (d, dispatch) in plan.dispatches.iter().enumerate() {
+            let mut cols = 0;
+            for &idx in &dispatch.chunks {
+                let chunk = &plan.chunks[idx];
+                assert_eq!((chunk.dispatch, chunk.dispatch_col), (d, cols));
+                for c in 0..chunk.cols {
+                    let ox = chunk.ox_start + c * chunk.col_step;
+                    assert!(
+                        owner[ox].replace(d).is_none(),
+                        "column {ox} dispatched twice"
+                    );
+                    let run = column_run(ox, &params, layer.input.width)
+                        .expect("dispatched columns are consequential");
+                    assert_eq!(
+                        run.taps, dispatch.taps,
+                        "column {ox} in a mixed-tap dispatch"
+                    );
+                    assert_eq!(plan.column_slot[ox], dispatch.slot + cols + c);
+                    assert_eq!(dispatch.input_starts[cols + c], run.input_start);
+                }
+                cols += chunk.cols;
+            }
+            assert_eq!(cols, dispatch.cols);
+            let stream = dispatch.taps * dispatch.cols;
+            let programs = dispatch.group_max * dispatch.cols;
+            assert!(stream <= pe.input_words && dispatch.group_max * stream <= pe.weight_words);
+            assert!(2 * programs <= pe.uop_fifo_entries && programs <= pe.output_words);
+        }
+        for (ox, owner) in owner.iter().enumerate() {
+            assert_eq!(
+                owner.is_some(),
+                column_run(ox, &params, layer.input.width).is_some(),
+                "column {ox}: dispatched iff consequential"
+            );
+        }
+        let mut slots = plan.column_slot.clone();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..width).collect::<Vec<_>>());
+    }
+
+    /// On DCGAN at 64 channels each transposed convolution bundles its
+    /// chunks into three dispatches per `(row, ky, ci)` — one per tap class
+    /// — within the simulation PE's bounds, and the Table III PE sizing
+    /// keeps the same invariants with smaller dispatches.
+    #[test]
+    fn dcgan_plans_one_dispatch_per_tap_class() {
+        let network = ganax_models::zoo::reduced_generator("DCGAN", 64).unwrap();
+        let table_iii =
+            GanaxMachine::new(GanaxConfig::paper().with_sim_pe(PeConfig::paper()).unwrap());
+        let mut tconvs = 0;
+        for layer in network.layers().iter().filter(|l| l.is_tconv()) {
+            tconvs += 1;
+            let (_, weights) = layer_tensors(layer, 3);
+            for machine in [GanaxMachine::paper(), table_iii] {
+                let planned = machine.plan_layer(layer, &weights).unwrap();
+                check_dispatch_invariants(layer, &planned.plan, &planned.pe_config);
+            }
+            let planned = GanaxMachine::paper().plan_layer(layer, &weights).unwrap();
+            assert_eq!(planned.plan.dispatches.len(), 3, "{}", layer.name);
+            assert!(planned.plan.chunks.len() > 3, "{}", layer.name);
+        }
+        assert_eq!(tconvs, 4);
+    }
+
+    /// The engine bundles chunks into dispatches whose channel groups differ
+    /// from the chunks' own, yet every input, weight and emit fault lands on
+    /// the same `(row, chunk ordinal + chunk group, element/lane)` site as on
+    /// the per-chunk path: outputs, counters and the number of fired faults
+    /// are identical. One row per shard makes the engine load each weight
+    /// block once per row, as the per-chunk path does, so fire counts agree.
+    #[test]
+    fn bundled_dispatches_keep_every_chunk_fault_site() {
+        use crate::network::NetworkWeights;
+        use crate::InferenceEngine;
+        use ganax_models::NetworkBuilder;
+        use ganax_sim::{FaultKind, FaultSpec};
+
+        let pe = PeConfig {
+            input_words: 64,
+            weight_words: 64,
+            output_words: 16,
+            addr_fifo_entries: 8,
+            uop_fifo_entries: 32,
+        };
+        let spec = FaultSpec::seeded(
+            0x5173,
+            30_000,
+            FaultKind::INPUT_FLIP
+                | FaultKind::WEIGHT_FLIP
+                | FaultKind::STUCK_LANE
+                | FaultKind::DROP_UOP
+                | FaultKind::DUP_UOP,
+        );
+        let clean_config = GanaxConfig::paper().with_sim_pe(pe).unwrap();
+        let machine = GanaxMachine::new(clean_config.with_fault(spec).unwrap());
+        let network = NetworkBuilder::new("fault-sites", Shape::new_2d(3, 3, 8))
+            .tconv(
+                "up",
+                5,
+                ConvParams::transposed_2d(5, 2, 2),
+                Activation::None,
+            )
+            .build()
+            .unwrap();
+        let layer = &network.layers()[0];
+        let (input, weights) = layer_tensors(layer, 91);
+
+        let planned = machine.plan_layer(layer, &weights).unwrap();
+        let plan = &planned.plan;
+        assert!(
+            plan.dispatches.iter().any(|d| d.chunks.len() > 1
+                && d.chunks
+                    .iter()
+                    .any(|&x| plan.chunks[x].group_max != d.group_max)),
+            "the geometry must bundle chunks under a different channel grouping"
+        );
+
+        // The per-chunk oracle, plus its injector's fire count.
+        let oracle = machine
+            .execute_layer_threaded(layer, &input, &weights, 1)
+            .unwrap();
+        let clean = GanaxMachine::new(clean_config)
+            .execute_layer_threaded(layer, &input, &weights, 1)
+            .unwrap();
+        assert_ne!(oracle.output, clean.output, "the schedule must corrupt");
+        let injector = FaultInjector::new(spec);
+        injector.begin_epoch();
+        let mut output = Tensor::zeros(layer.output);
+        let height = layer.output.height;
+        let mut rows: Vec<(usize, Vec<&mut [f32]>)> =
+            (0..height).map(|oy| (oy, Vec::new())).collect();
+        for (idx, row) in output.data_mut().chunks_mut(layer.output.width).enumerate() {
+            rows[idx % height].1.push(row);
+        }
+        let faults = ShardFaults {
+            injector: &injector,
+            layer_index: 0,
+        };
+        run_shard(layer, &input, plan, &pe, rows, faults, false).unwrap();
+        assert_eq!(output, oracle.output);
+        assert!(injector.injected_faults() > 0);
+
+        let bundle = NetworkWeights::new(&network, vec![weights]).unwrap();
+        let engine = InferenceEngine::new(machine, height);
+        let compiled = engine.compile(&network, &bundle).unwrap();
+        let run = engine.execute(&compiled, &input).unwrap();
+        assert_eq!(run.output, oracle.output);
+        assert_eq!(run.total_counts(), oracle.counts);
+        assert_eq!(run.total_busy_pe_cycles(), oracle.busy_pe_cycles);
+        assert_eq!(run.total_work_units(), oracle.work_units);
+        assert_eq!(engine.injected_faults(), injector.injected_faults());
     }
 
     proptest! {
