@@ -1,5 +1,6 @@
 //! Serving-path bench: warm cached-plan requests and batched execution on
-//! the compile-once inference engine, against the cold staged baseline.
+//! the compile-once inference engine, against a cold one-shot request (fresh
+//! pool, compile and first execute).
 //!
 //! The full-size wall-clock report lives in the `bench_serve` binary (it
 //! needs a JSON emitter); this bench tracks the engine's hot paths under
@@ -25,11 +26,11 @@ fn bench_serve(c: &mut Criterion) {
         .compile(&network, &weights)
         .expect("network compiles");
 
-    group.bench_function("dcgan_reduced8_cold_staged", |b| {
+    group.bench_function("dcgan_reduced8_cold_one_shot", |b| {
         b.iter(|| {
             let run = machine
-                .execute_network_staged(&network, &input, &weights, 2)
-                .expect("staged baseline executes");
+                .execute_network_threaded(&network, &input, &weights, 2)
+                .expect("one-shot request executes");
             std::hint::black_box(run.total_busy_pe_cycles())
         })
     });

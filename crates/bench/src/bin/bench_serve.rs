@@ -11,9 +11,8 @@
 //!
 //! The report compares three ways of serving one request:
 //!
-//! * **cold** — the pre-engine staged path: plans rebuilt on every call,
-//!   per-layer scoped worker spawns with fresh PEs, operand streams
-//!   re-gathered per output row;
+//! * **cold** — one [`ganax::GanaxMachine::execute_network_threaded`] call:
+//!   a fresh pool, compile and first execute;
 //! * **warm** — a cached [`ganax::CompiledNetwork`] on the engine's
 //!   persistent pool (PEs and buffers reset in place, zero planning —
 //!   asserted);
@@ -40,8 +39,8 @@
 //! each asserted to detect, heal and return the bit-exact clean response
 //! with zero undetected escapes.
 //!
-//! Every path is asserted bit-identical to the staged baseline before its
-//! timing is reported.
+//! Every warm, swept and batched run is asserted bit-identical to the cold
+//! run before its timing is reported.
 
 use ganax_bench::{cli_out_path, cli_thread_counts, cli_value, serve_bench};
 
@@ -66,9 +65,8 @@ fn main() {
         report.speedup_warm_vs_cold,
     );
     println!(
-        "compile {:.1} ms  first request {:.1} ms  warm plan {:.1} ms  {:.1}M cycles/s warm",
+        "compile {:.1} ms  warm plan {:.1} ms  {:.1}M cycles/s warm",
         report.compile_ms,
-        report.first_request_ms,
         report.warm_plan_ms,
         report.warm_cycles_per_sec / 1e6,
     );

@@ -552,7 +552,8 @@ pub struct NetworkBenchRow {
     pub work_units: u64,
     /// Load balance of the threaded PE-array scheduler (1.0 = perfect).
     pub balance: f64,
-    /// Wall-clock milliseconds of the layer (including staged planning).
+    /// Wall-clock milliseconds of the layer (planning excluded: the one-shot
+    /// run compiles every layer before executing any).
     pub wall_ms: f64,
 }
 
@@ -774,12 +775,12 @@ pub struct FaultToleranceRow {
     pub bit_identical: bool,
 }
 
-/// The serving benchmark report behind `BENCH_serve.json`: cold (uncompiled,
-/// pre-engine staged path) versus warm (cached-plan engine) single-inference
-/// latency, warm thread scaling, batched throughput, and an offered-load
-/// sweep of the async [`ganax::serve::Server`] — all on the DCGAN generator,
-/// all bit-identical to the staged baseline (asserted before any number is
-/// reported).
+/// The serving benchmark report behind `BENCH_serve.json`: cold (fresh pool,
+/// compile and first execute) versus warm (cached-plan engine)
+/// single-inference latency, warm thread scaling, batched throughput, and an
+/// offered-load sweep of the async [`ganax::serve::Server`] — all on the
+/// DCGAN generator, all bit-identical to the cold run (asserted before any
+/// number is reported).
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeBenchReport {
     /// Benchmark family name.
@@ -791,17 +792,15 @@ pub struct ServeBenchReport {
     /// Pool workers behind the headline cold/warm numbers
     /// (`available_parallelism`).
     pub threads: usize,
-    /// Cold request latency in milliseconds (best of 2): the pre-engine
-    /// staged path — plans rebuilt, per-layer scoped worker spawns, fresh
-    /// PEs, operand streams re-gathered per output row.
+    /// Cold request latency in milliseconds (best of 2): one
+    /// [`GanaxMachine::execute_network_threaded`] call — fresh pool spawn,
+    /// compile and first execute, what one request costs without a
+    /// compiled artifact.
     pub cold_ms: f64,
-    /// Planning milliseconds inside the cold request.
+    /// Planning (compile) milliseconds inside the cold request.
     pub cold_plan_ms: f64,
     /// One-time [`ganax::CompiledNetwork::compile`] milliseconds.
     pub compile_ms: f64,
-    /// First request on a fresh engine (pool spawn + compile + run), in
-    /// milliseconds.
-    pub first_request_ms: f64,
     /// Warm request latency in milliseconds (best of 3): cached plans,
     /// persistent pool, PEs and buffers reset in place.
     pub warm_ms: f64,
@@ -816,9 +815,9 @@ pub struct ServeBenchReport {
     pub busy_pe_cycles: u64,
     /// Simulated busy cycles per wall-clock second on the warm path.
     pub warm_cycles_per_sec: f64,
-    /// Whether every engine path reproduced the staged baseline bit for bit
-    /// (outputs, busy cycles and counters) — asserted, so a recorded report
-    /// always says `true`.
+    /// Whether every warm, swept and batched run reproduced the cold run bit
+    /// for bit (the warm request also in busy cycles and counters) —
+    /// asserted, so a recorded report always says `true`.
     pub bit_identical: bool,
     /// Warm latency across the swept pool sizes.
     pub thread_rows: Vec<ServeThreadRow>,
@@ -911,13 +910,13 @@ pub struct IntegrityReport {
 }
 
 /// Runs the serving benchmark on the DCGAN generator (channel-capped at 64
-/// with `quick`): cold staged baseline, warm engine requests, a warm
+/// with `quick`): cold one-shot requests, warm engine requests, a warm
 /// thread-scaling sweep over `thread_counts`, and batched execution of
 /// `batch_size` inferences on a `max(4, available)`-worker pool.
 ///
-/// Every engine run is asserted bit-identical (output, busy cycles,
-/// counters) to the staged baseline before its timing is reported, and warm
-/// runs are asserted to perform zero planning.
+/// Every warm run is asserted bit-identical (output, busy cycles, counters)
+/// to the cold run before its timing is reported, and warm runs are
+/// asserted to perform zero planning.
 ///
 /// With `faults`, the report additionally carries the fault-tolerance sweep
 /// ([`fault_tolerance_bench`]): the async server under seeded maskable
@@ -948,11 +947,12 @@ pub fn serve_bench(
     let machine = GanaxMachine::paper();
     let threads = available_parallelism();
 
-    // Cold: what one request costs without a compiled artifact.
+    // Cold: what one request costs without a compiled artifact — a fresh
+    // pool, compile and first execute.
     let (cold, cold_ms) = time_best_of(2, || {
         machine
-            .execute_network_staged(&network, &input, &weights, threads)
-            .expect("staged path executes the generator")
+            .execute_network_threaded(&network, &input, &weights, threads)
+            .expect("one-shot path executes the generator")
     });
 
     // Warm: compile once, serve from the cached artifact.
@@ -985,15 +985,6 @@ pub fn serve_bench(
     assert_eq!(warm.output, cold.output, "warm output diverged from cold");
     assert_eq!(warm.total_counts(), cold.total_counts(), "counter drift");
     assert_eq!(warm.total_busy_pe_cycles(), cold.total_busy_pe_cycles());
-
-    // First request on a fresh engine: pool spawn + compile + run.
-    let (_, first_request_ms) = time_best_of(1, || {
-        let fresh = InferenceEngine::new(machine, threads);
-        let artifact = fresh.compile(&network, &weights).expect("network compiles");
-        fresh
-            .execute(&artifact, &input)
-            .expect("first request executes")
-    });
 
     // Warm thread scaling: the artifact is engine-independent, so one
     // compile serves every pool size.
@@ -1078,7 +1069,6 @@ pub fn serve_bench(
         cold_ms,
         cold_plan_ms: cold.plan_seconds * 1e3,
         compile_ms,
-        first_request_ms,
         warm_ms,
         warm_plan_ms,
         speedup_warm_vs_cold: cold_ms / warm_ms,

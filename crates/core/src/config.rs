@@ -810,6 +810,101 @@ mod tests {
         ));
     }
 
+    /// Byte offsets `(start, end)` of every numeric literal in `json`.
+    fn numeric_literals(json: &str) -> Vec<(usize, usize)> {
+        let bytes = json.as_bytes();
+        let mut spans = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'-' || bytes[i].is_ascii_digit() {
+                let start = i;
+                while i < bytes.len()
+                    && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+                {
+                    i += 1;
+                }
+                spans.push((start, i));
+            } else if bytes[i] == b'"' {
+                // Skip string bodies: digits inside keys are not numbers.
+                i += 1;
+                while i < bytes.len() && bytes[i] != b'"' {
+                    i += 1;
+                }
+                i += 1;
+            } else {
+                i += 1;
+            }
+        }
+        spans
+    }
+
+    /// The valid configs the mutation fuzzers start from: the paper design
+    /// point and one carrying an armed [`FaultSpec`].
+    fn fuzz_seeds() -> [String; 2] {
+        let armed = FaultSpec::seeded(7, 1_000, ganax_sim::FaultKind::ALL);
+        [
+            GanaxConfig::paper().to_json().unwrap(),
+            GanaxConfig::paper()
+                .with_fault(armed)
+                .unwrap()
+                .to_json()
+                .unwrap(),
+        ]
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random bytes (decoded lossily) parse to a typed result, never a
+        /// panic.
+        #[test]
+        fn prop_random_bytes_never_panic(raw in proptest::collection::vec(0u16..256, 0..512)) {
+            let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+            if let Ok(config) = GanaxConfig::from_json(&String::from_utf8_lossy(&bytes)) {
+                prop_assert!(config.validate().is_ok());
+            }
+        }
+
+        /// Every strict prefix of a valid config is malformed JSON.
+        #[test]
+        fn prop_truncated_configs_are_malformed(which in 0usize..2, cut in 0usize..4096) {
+            let json = &fuzz_seeds()[which];
+            let cut = cut % json.len();
+            let result = GanaxConfig::from_json(&json[..cut]);
+            prop_assert!(matches!(result, Err(ConfigError::Malformed { .. })), "{result:?}");
+        }
+
+        /// Replacing one numeric literal of a valid config with a huge,
+        /// tiny or negative value yields a validated config or a typed error.
+        #[test]
+        fn prop_mutated_numbers_yield_typed_results(
+            which in 0usize..2,
+            pick in 0usize..1024,
+            value in 0usize..9,
+        ) {
+            let json = &fuzz_seeds()[which];
+            let spans = numeric_literals(json);
+            let (start, end) = spans[pick % spans.len()];
+            let replacement = [
+                "-1",
+                "-0",
+                "0",
+                "1e300",
+                "-1e300",
+                "1e-300",
+                "4294967296",
+                "18446744073709551616",
+                "-9223372036854775809",
+            ][value];
+            let mutated = format!("{}{replacement}{}", &json[..start], &json[end..]);
+            if let Ok(config) = GanaxConfig::from_json(&mutated) {
+                prop_assert!(config.validate().is_ok());
+            }
+        }
+    }
+
     #[test]
     fn error_messages_name_the_problem() {
         let msg = ConfigError::UopFifoTooShallow {

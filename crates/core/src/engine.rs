@@ -17,11 +17,13 @@
 //!   rows* across the pool and amortizes gathered weight streams across every
 //!   resident row of every batch element.
 //!
-//! All three paths are **bit-identical** to the per-layer fast path of
-//! [`GanaxMachine::execute_layer_threaded`] (and therefore to the seed
-//! single-step reference) at every thread count: the engine issues exactly
-//! the same per-dispatch programs, it only reorders *which* dispatch runs
-//! when and keeps more operands resident between dispatches.
+//! The engine is the workspace's one fast execution path: the per-layer
+//! [`GanaxMachine::execute_layer_threaded`] and the one-shot
+//! [`GanaxMachine::execute_network_threaded`] run on a fresh engine too. It is
+//! checked against two oracles: the seed single-step
+//! [`GanaxMachine::execute_layer_reference`], which it matches **bit for
+//! bit** (outputs, busy cycles, counters) at every pool size, and the
+//! `ganax_tensor` chain ([`reference_network_forward`](crate::network::reference_network_forward)).
 //!
 //! The pool is **supervised**: every worker body runs under
 //! [`std::panic::catch_unwind`], a panicking worker reports a typed
@@ -78,7 +80,8 @@ use crate::config::IntegrityMode;
 use crate::machine::{
     accumulate_input_checksum, add_slots, dispatch_ordinal_base, gather_input,
     load_dispatch_weights, retire_group, row_checksum_ok, shard_for_position, Dispatch,
-    GanaxMachine, LayerPlan, MachineError, PlannedLayer, RowChecksum, ShardFaults, MAX_HEAL_ROUNDS,
+    GanaxMachine, LayerPlan, MachineError, MachineRun, PlannedLayer, RowChecksum, ShardFaults,
+    MAX_HEAL_ROUNDS,
 };
 use crate::network::{
     finish_layer_output, host_projection, LayerExecution, NetworkExecution, NetworkWeights,
@@ -410,13 +413,16 @@ fn worker_loop(shared: Arc<PoolShared>) {
 /// its columns occupy one contiguous slot run and each channel's partial
 /// sums land with one contiguous add.
 ///
-/// Per program this computes exactly what the per-layer fast path's chunk
-/// dispatches compute, so busy cycles, counters and the f32 accumulation
-/// order per output element are bit-identical to
-/// [`GanaxMachine::execute_layer_threaded`]: only the number of dispatches
-/// and bulk scratchpad loads shrinks, and bulk loads are excluded from the
-/// counts on both paths. Fault sites and checksum folds stay keyed by chunk
-/// (see [`load_dispatch_weights`] and [`accumulate_input_checksum`]).
+/// Per column and channel this performs exactly the single-step reference's
+/// traffic (`taps` input + `taps` weight reads, two µop fetches, one
+/// write-back, `taps` busy cycles), so busy cycles, counters and the f32
+/// accumulation order per output element are bit-identical to
+/// [`GanaxMachine::execute_layer_reference`]; bulk scratchpad loads are
+/// excluded from the counts, as the reference excludes its own per-unit
+/// loads. The output scratchpad is not cleared between dispatches: every
+/// program overwrites its output word before it is read back. Fault sites
+/// and checksum folds stay keyed by chunk (see [`load_dispatch_weights`],
+/// [`emit_faulty`] and [`accumulate_input_checksum`]).
 ///
 /// [`column_slot`]: crate::machine::LayerPlan::column_slot
 fn run_resident_shard(
@@ -443,9 +449,9 @@ fn run_resident_shard(
     // Fault-free shards skip every per-chunk fault query.
     let faults_on = task.injector.is_enabled();
     // Worker-fault sites are keyed `(layer, row)` — decide them for every row
-    // the shard owns before any work, exactly as the per-layer path does. A
-    // panic here is genuine: it unwinds into the worker's `catch_unwind` so
-    // supervision, respawn and requeue are exercised for real.
+    // the shard owns before any work. A panic here is genuine: it unwinds
+    // into the worker's `catch_unwind` so supervision, respawn and requeue
+    // are exercised for real.
     for &oy in rows.iter() {
         match faults.worker_fault(oy) {
             Some(WorkerFault::Panic) => panic!(
@@ -463,9 +469,8 @@ fn run_resident_shard(
     let mut work_units = 0u64;
     // ABFT checksum triples, one per `(element, row slot)` accumulated row.
     // The predicted/magnitude terms are folded in `ky → ci → chunk →
-    // element` order, identical to the per-layer path's per-row order, so
-    // the triples — and therefore the verdicts — are bit-identical at every
-    // pool size.
+    // element` order per row, so the triples — and therefore the verdicts —
+    // are bit-identical at every pool size.
     let mut checks: Vec<RowChecksum> = if task.verify {
         vec![RowChecksum::default(); elements * rows.len()]
     } else {
@@ -602,7 +607,7 @@ fn run_resident_shard(
     if task.verify {
         // Observed side: a linear f64 fold over each accumulated row, walked
         // channel-major with columns in ascending order (through the slot
-        // permutation) — the per-layer path's observation order exactly.
+        // permutation), whatever the pool size.
         for (i, check) in checks.iter_mut().enumerate() {
             let row = &buffer[i * row_stride..(i + 1) * row_stride];
             for channel in row.chunks_exact(width) {
@@ -1080,11 +1085,38 @@ impl InferenceEngine {
         })
     }
 
+    /// Plans one layer and runs it once through the pool as network layer 0,
+    /// in one fresh fault epoch, returning the raw accumulated output (no
+    /// bias, no activation, no non-finite guard) — the body of
+    /// [`GanaxMachine::execute_layer_threaded`].
+    pub(crate) fn execute_layer(
+        &self,
+        layer: &Layer,
+        input: &Tensor,
+        weights: &Tensor,
+    ) -> Result<MachineRun, MachineError> {
+        let plan = Arc::new(self.machine.plan_layer(layer, weights)?);
+        self.injector.begin_epoch();
+        let inputs = Arc::new(vec![Arc::new(input.clone())]);
+        let mut run = self.run_layer(&Arc::new(layer.clone()), &plan, 0, inputs)?;
+        let output = run
+            .outputs
+            .pop()
+            .ok_or_else(|| MachineError::PoolUnavailable {
+                detail: "single-element batch produced no output".into(),
+            })?;
+        Ok(MachineRun {
+            output,
+            busy_pe_cycles: run.busy_pe_cycles,
+            counts: run.counts,
+            work_units: run.work_units,
+        })
+    }
+
     /// Runs one PE-array layer for every element of `inputs` through the
     /// pool: rows are carved into wide phase-major slices over the plan's row
-    /// order via [`shard_for_position`] (exactly the per-layer fast path's
-    /// assignment, so per-shard busy splits match it), each shard task covers
-    /// all batch elements, and results reduce in task-index order.
+    /// order via [`shard_for_position`], each shard task covers all batch
+    /// elements, and results reduce in task-index order.
     ///
     /// This is also the pool's **supervisor**: a worker that panics reports a
     /// typed [`MachineError::WorkerPanic`] and terminates, whereupon this
@@ -1112,10 +1144,11 @@ impl InferenceEngine {
         let width = layer.output.width;
         let co_count = layer.output.channels;
         let shards = self.threads.clamp(1, height.max(1));
-        // Wide slices over the phase-major row order (see
-        // `GanaxMachine::execute_planned`): contiguous row-order blocks stripe
-        // across shards, so each shard walks long runs of adjacent phases
-        // while still receiving the same mix of shallow- and deep-phase rows.
+        // Wide slices over the phase-major row order: contiguous row-order
+        // blocks stripe across shards, so each shard walks long runs of
+        // adjacent phases while still receiving the same mix of shallow- and
+        // deep-phase rows (assigning by raw `oy` would hand one worker every
+        // deep-phase row whenever the pool size divides the phase stride).
         let mut position = vec![0usize; height];
         for (pos, &oy) in plan.plan.row_order.iter().enumerate() {
             position[oy] = pos;
@@ -1173,7 +1206,7 @@ impl InferenceEngine {
             self.shared.recycle(shard.buffer);
         }
         // Horizontal accumulation of each node's partial sums into the output
-        // row — charged once per layer, as `execute_planned` does.
+        // row (one hop per produced element) — charged once per layer.
         counts.inter_pe_transfers += work_units * width as u64;
         Ok(LayerRun {
             outputs,
@@ -1477,27 +1510,58 @@ mod tests {
         assert_eq!(first.total_counts(), second.total_counts());
     }
 
+    /// `net` chained layer by layer through the single-step reference (host
+    /// projections on the host), with the machine's epilogue between layers:
+    /// the final output plus total counts, busy cycles and work units.
+    fn reference_chain(
+        machine: &GanaxMachine,
+        net: &Network,
+        weights: &NetworkWeights,
+        input: &Tensor,
+    ) -> (Tensor, EventCounts, u64, u64) {
+        let mut current = input.clone();
+        let (mut counts, mut busy, mut units) = (EventCounts::default(), 0, 0);
+        for (i, layer) in net.layers().iter().enumerate() {
+            let mut out = if matches!(layer.op, LayerOp::Projection) {
+                host_projection(layer, &current, weights.weight(i)).unwrap()
+            } else {
+                let run = machine
+                    .execute_layer_reference(layer, &current, weights.weight(i))
+                    .unwrap();
+                counts += run.counts;
+                busy += run.busy_pe_cycles;
+                units += run.work_units;
+                run.output
+            };
+            finish_layer_output(layer, &mut out, weights.bias(i));
+            current = out;
+        }
+        (current, counts, busy, units)
+    }
+
     #[test]
-    fn engine_matches_the_per_layer_fast_path() {
+    fn engine_matches_reference_chains() {
         let net = toy_network();
         let weights = toy_weights(&net, 19);
-        let input = Tensor::deterministic(net.input_shape(), 23);
         let machine = GanaxMachine::paper();
-        let staged = machine
-            .execute_network_staged(&net, &input, &weights, 2)
-            .unwrap();
-        for threads in [1, 2, 5] {
-            let engine = InferenceEngine::new(machine, threads);
-            let compiled = engine.compile(&net, &weights).unwrap();
-            let run = engine.execute(&compiled, &input).unwrap();
-            assert_eq!(run.output, staged.output, "{threads}-thread engine output");
-            assert_eq!(
-                run.total_counts(),
-                staged.total_counts(),
-                "{threads}-thread engine counts"
-            );
-            assert_eq!(run.total_busy_pe_cycles(), staged.total_busy_pe_cycles());
-            assert_eq!(run.total_work_units(), staged.total_work_units());
+        for seed in [23, 29] {
+            let input = Tensor::deterministic(net.input_shape(), seed);
+            let (output, counts, busy, units) = reference_chain(&machine, &net, &weights, &input);
+            let tensor = crate::network::reference_network_forward(&net, &input, &weights).unwrap();
+            for threads in [1, 2, 5] {
+                let engine = InferenceEngine::new(machine, threads);
+                let compiled = engine.compile(&net, &weights).unwrap();
+                let run = engine.execute(&compiled, &input).unwrap();
+                assert_eq!(run.output, output, "{threads}-thread engine output");
+                assert_eq!(run.total_counts(), counts, "{threads}-thread engine counts");
+                assert_eq!(run.total_busy_pe_cycles(), busy);
+                assert_eq!(run.total_work_units(), units);
+                assert!(
+                    run.output.approx_eq(&tensor, 1e-4),
+                    "{threads}-thread engine vs tensor chain (max diff {})",
+                    run.output.max_abs_diff(&tensor).unwrap()
+                );
+            }
         }
     }
 
@@ -1569,38 +1633,31 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_bit_identical_across_paths_and_thread_counts() {
+    fn corruption_is_bit_identical_across_pool_sizes() {
         let net = toy_network();
         let weights = toy_weights(&net, 61);
-        let input = Tensor::deterministic(net.input_shape(), 67);
-        let clean = clean_output(&net, &weights, &input);
         let spec = FaultSpec::seeded(
             0xFA11,
             40_000,
             FaultKind::INPUT_FLIP | FaultKind::WEIGHT_FLIP | FaultKind::STUCK_LANE,
         );
         let machine = faulty_machine(spec);
-        // The same seed corrupts the staged per-layer path identically.
-        let staged = machine
-            .execute_network_staged(&net, &input, &weights, 2)
-            .unwrap();
-        assert_ne!(staged.output, clean, "the schedule must actually corrupt");
-        let staged_serial = machine
-            .execute_network_staged(&net, &input, &weights, 1)
-            .unwrap();
-        assert_eq!(
-            staged_serial.output, staged.output,
-            "corruption is thread-count invariant on the staged path"
-        );
-        for threads in [1, 2, 5] {
-            let engine = InferenceEngine::new(machine, threads);
-            let compiled = engine.compile(&net, &weights).unwrap();
-            let run = engine.execute(&compiled, &input).unwrap();
-            assert_eq!(
-                run.output, staged.output,
-                "{threads}-thread corrupted output"
-            );
-            assert!(engine.injected_faults() > 0, "faults must have fired");
+        for seed in [67, 79] {
+            let input = Tensor::deterministic(net.input_shape(), seed);
+            let clean = clean_output(&net, &weights, &input);
+            let runs: Vec<Tensor> = [1, 2, 5]
+                .into_iter()
+                .map(|threads| {
+                    let engine = InferenceEngine::new(machine, threads);
+                    let compiled = engine.compile(&net, &weights).unwrap();
+                    let run = engine.execute(&compiled, &input).unwrap();
+                    assert!(engine.injected_faults() > 0, "faults must have fired");
+                    run.output
+                })
+                .collect();
+            assert_ne!(runs[0], clean, "the schedule must actually corrupt");
+            assert_eq!(runs[1], runs[0], "2-thread corrupted output");
+            assert_eq!(runs[2], runs[0], "5-thread corrupted output");
         }
     }
 
@@ -1693,6 +1750,22 @@ mod tests {
             // once ever).
             let again = engine.execute(&compiled, &input).unwrap();
             assert_eq!(again.output, clean, "{threads}-thread post-crash run");
+        }
+        // The per-layer API runs on the same supervised pool (as network
+        // layer 0): the panic is recovered, not returned as `WorkerPanic`.
+        let layer = &net.layers()[1];
+        let layer_input = Tensor::deterministic(layer.input, 97);
+        let reference = GanaxMachine::paper()
+            .execute_layer_reference(layer, &layer_input, weights.weight(1))
+            .unwrap();
+        let spec = FaultSpec { layer: 0, ..spec };
+        for threads in [1, 2, 4] {
+            let engine = InferenceEngine::new(faulty_machine(spec), threads);
+            let run = engine
+                .execute_layer(layer, &layer_input, weights.weight(1))
+                .unwrap();
+            assert_eq!(run, reference, "{threads}-thread recovered layer");
+            assert_eq!((engine.respawns(), engine.requeued_shards()), (1, 1));
         }
     }
 

@@ -9,7 +9,7 @@
 //! * [`machine`](GanaxMachine) executes layers cycle-by-cycle on the
 //!   decoupled access-execute PE array of `ganax-sim`, producing actual output
 //!   feature maps that are validated against the `ganax-tensor` references.
-//! * [`network`] chains whole generators through the machine's fast path —
+//! * [`network`] runs whole generators on a fresh engine —
 //!   [`GanaxMachine::execute_network`] returns a [`NetworkExecution`] report
 //!   with per-layer cycles, counters and wall-clock, cross-checkable against
 //!   the analytic models.
@@ -17,7 +17,8 @@
 //!   [`CompiledNetwork`] hoists every layer's plan into an immutable
 //!   artifact, and [`InferenceEngine`] runs it (single requests or whole
 //!   batches) on a persistent worker pool whose PEs and buffers are reset in
-//!   place between inferences.
+//!   place between inferences. It is the one fast execution path: the
+//!   per-layer and one-shot machine APIs run on it too.
 //! * [`serve`](serve::Server) is the async serving front-end over the engine:
 //!   a submit/poll ticket API, an admission queue that coalesces same-model
 //!   requests into dynamically sized batches, and multi-model residency via

@@ -10,9 +10,13 @@
 //!
 //! # Fast simulation path
 //!
-//! [`GanaxMachine::execute_layer`] runs a layer through three optimizations
-//! that keep full-size Table I generator layers simulatable in seconds while
-//! staying cycle- and counter-identical to the single-step reference:
+//! This module plans a layer; the [`InferenceEngine`](crate::InferenceEngine)
+//! executes it. [`GanaxMachine::execute_layer`] and
+//! [`GanaxMachine::execute_layer_threaded`] run one layer on a fresh engine
+//! pool, the same resident-PE shard runner every network and serving request
+//! uses. Three optimizations keep full-size Table I generator layers
+//! simulatable in seconds while staying cycle- and counter-identical to the
+//! single-step reference:
 //!
 //! * **a per-layer plan** hoists everything that the seed implementation
 //!   recomputed per work unit — consequential vertical taps per output row,
@@ -22,16 +26,14 @@
 //! * **burst-stepped PEs** ([`ProcessingEngine::run_until_idle_burst`]) retire
 //!   each provably stall-free repeated-`mac` run in one call instead of one
 //!   cycle at a time;
-//! * **a multi-threaded PE-array scheduler**
-//!   ([`GanaxMachine::execute_layer_threaded`]) shards `(output channel,
-//!   output row)` work units across `std::thread`-scoped worker PEs. Every
-//!   work unit writes a disjoint output row and workers are assigned units by
-//!   a static round-robin over the plan's phase-major row order (the Figure 5
-//!   output-row reorganization), so the load balances across phases and
-//!   outputs and counters are bit-identical for every thread count.
+//! * **a multi-threaded PE-array scheduler** shards whole output rows across
+//!   the pool's worker PEs in wide slices of the plan's phase-major row order
+//!   (the Figure 5 output-row reorganization, see [`shard_for_position`]).
+//!   Every row is a disjoint output slice, so the load balances across
+//!   phases and outputs and counters are bit-identical for every pool size.
 //!
 //! [`GanaxMachine::execute_layer_reference`] preserves the seed
-//! one-cycle-at-a-time serial path; property tests assert the fast paths match
+//! one-cycle-at-a-time serial path; property tests assert the engine matches
 //! it bit for bit.
 //!
 //! Scope: 2-D convolution and transposed-convolution layers (the volumetric
@@ -47,7 +49,6 @@ use ganax_isa::{AddrGenKind, ExecUop};
 use ganax_models::{Layer, LayerOp};
 use ganax_sim::{
     EmitFault, FaultInjector, GeneratorConfig, PeConfig, ProcessingEngine, WorkerFault,
-    STALL_MILLIS,
 };
 use ganax_tensor::{ConvKind, ConvParams, Shape, Tensor, ZeroInsertion};
 
@@ -199,8 +200,9 @@ pub(crate) struct ColumnRun {
 }
 
 /// A run of same-phase consequential output columns sharing a tap count —
-/// the per-layer path's dispatch unit, and on every path the unit that fault
-/// sites ([`dispatch_ordinal_base`]) and ABFT checksum folds are keyed by.
+/// the unit that fault sites ([`dispatch_ordinal_base`]) and ABFT checksum
+/// folds are keyed by. Engine dispatches bundle several chunks
+/// ([`Dispatch`]).
 ///
 /// Phases are the paper's Figure 5 structure: transposed-convolution columns
 /// with the same `ox mod stride` residue read the same number of consequential
@@ -552,8 +554,7 @@ impl LayerPlan {
 /// `f64` in a fixed order that depends only on the layer plan — `ky`
 /// ascending, then `ci`, then chunk, then stream element for the predictions;
 /// channel-major row order for the observation — so the triple (and hence
-/// the verdict) is bit-identical on the scoped per-layer path, the engine's
-/// persistent pool, and every pool size.
+/// the verdict) is bit-identical at every pool size.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct RowChecksum {
     /// `checksum(W) · checksum(x)`: the f64 dot of every *clean* gathered
@@ -590,7 +591,7 @@ const INTEGRITY_SAFETY: f64 = 2.0;
 /// compared against: proportional to the square root of the f32 accumulation
 /// chain feeding the row's outputs and to the accumulated product magnitude.
 /// A pure function of the plan and the (bit-identical) magnitude checksum,
-/// so every execution path reaches the same verdict.
+/// so every pool size reaches the same verdict.
 pub(crate) fn row_tolerance(plan: &LayerPlan, oy: usize, magnitude: f64) -> f64 {
     let max_taps = plan.chunks.iter().map(|c| c.taps).max().unwrap_or(0);
     let chain = plan.row_taps[oy].len() * plan.input_channels * max_taps + plan.output_channels;
@@ -609,8 +610,8 @@ pub(crate) fn row_checksum_ok(plan: &LayerPlan, oy: usize, check: &RowChecksum) 
 /// accumulators: the predicted output checksum gains
 /// `Σ checksum(W)[el] · x[el]`, the magnitude bound gains
 /// `Σ |W|-checksum[el] · |x[el]|`, element by element in stream order.
-/// Callers fold chunks in `ky → ci → chunk` order, whatever order they
-/// dispatch in, so the triple is the same on every path.
+/// The shard runner folds chunks in `ky → ci → chunk` order, whatever order
+/// it dispatches in, so the triple is the same at every pool size.
 pub(crate) fn accumulate_input_checksum(
     plan: &LayerPlan,
     chunk_idx: usize,
@@ -642,8 +643,7 @@ pub(crate) fn accumulate_input_checksum(
 }
 
 /// A validated layer together with its hoisted execution plan and the PE
-/// sizing the plan was built for — the staged operand state the network
-/// executor double-buffers across layers.
+/// sizing the plan was built for — one layer of a compiled network.
 pub(crate) struct PlannedLayer {
     /// The PE sizing that bounds the plan's chunks and streams.
     pub(crate) pe_config: PeConfig,
@@ -653,9 +653,8 @@ pub(crate) struct PlannedLayer {
 
 /// The fault coordinates one shard executes under: the injector realizing
 /// the machine config's schedule plus the network-level layer index. `Copy`
-/// (it carries a shared reference) so it moves freely into worker closures.
-/// Shared by the per-layer shard runner and the engine's resident-PE worker,
-/// which must agree on fault sites exactly as they agree on dispatch shapes.
+/// (it carries a shared reference) so it passes freely by value through the
+/// engine's resident-PE shard runner and its weight/emit helpers.
 #[derive(Clone, Copy)]
 pub(crate) struct ShardFaults<'a> {
     /// The injector deciding every fault site.
@@ -696,10 +695,8 @@ impl ShardFaults<'_> {
     }
 
     /// Decides whether the worker processing output row `row` is disturbed.
-    /// On the scoped per-layer path panics surface as typed
-    /// [`MachineError::WorkerPanic`] returns; the engine's persistent workers
-    /// convert the same decision into a real panic so supervision is
-    /// exercised.
+    /// The engine's workers turn a panic decision into a real panic, so
+    /// supervision (respawn and requeue) is exercised.
     pub(crate) fn worker_fault(&self, row: usize) -> Option<WorkerFault> {
         self.injector.worker_fault(self.layer_index, row)
     }
@@ -712,9 +709,8 @@ impl ShardFaults<'_> {
     }
 }
 
-/// The shard owning the output row at phase-major position `pos`, shared by
-/// the per-layer scoped path and the engine's persistent pool so their
-/// per-shard busy splits agree.
+/// The shard owning the output row at phase-major position `pos` in the
+/// engine's worker pool.
 ///
 /// Rows are dealt in contiguous phase-major *blocks* of roughly
 /// `height / (4 × shards)` rows, striped round-robin over the shards: each
@@ -733,9 +729,9 @@ pub(crate) fn shard_for_position(pos: usize, height: usize, shards: usize) -> us
 }
 
 /// The base dispatch ordinal of one `(ky, ci, chunk)` work unit — a pure
-/// function of the layer plan, identical on every execution path and at
-/// every thread count (the property fault determinism rests on). Channel
-/// groups within the chunk add their starting channel `co0`.
+/// function of the layer plan, identical at every pool size and however
+/// chunks bundle into dispatches (the property fault determinism rests on).
+/// Channel groups within the chunk add their starting channel `g0`.
 pub(crate) fn dispatch_ordinal_base(
     plan: &LayerPlan,
     layer: &Layer,
@@ -806,15 +802,17 @@ impl GanaxMachine {
     /// Executes one 2-D convolution or transposed-convolution layer, returning
     /// the computed output and the activity counters.
     ///
-    /// Uses the fast path (per-layer plan + burst-stepped PEs) on a worker
-    /// count chosen from [`std::thread::available_parallelism`]; results are
-    /// bit-identical to [`GanaxMachine::execute_layer_reference`] and to any
-    /// other thread count.
+    /// Runs [`GanaxMachine::execute_layer_threaded`] on a worker count chosen
+    /// from [`std::thread::available_parallelism`]; results are bit-identical
+    /// to [`GanaxMachine::execute_layer_reference`] and to any other thread
+    /// count.
     ///
     /// # Errors
     /// Returns [`MachineError::Unsupported`] for projections and volumetric
     /// layers, [`MachineError::ShapeMismatch`] when the tensors do not match
-    /// the layer, and [`MachineError::Timeout`] if a PE fails to drain.
+    /// the layer, and [`MachineError::Timeout`] if a PE fails to drain. An
+    /// injected worker panic is recovered by respawn and requeue; only a
+    /// persistent one surfaces, as [`MachineError::WorkerPanic`].
     pub fn execute_layer(
         &self,
         layer: &Layer,
@@ -830,15 +828,18 @@ impl GanaxMachine {
         self.execute_layer_threaded(layer, input, weights, threads)
     }
 
-    /// Executes one layer on `threads` `std::thread`-scoped worker PEs.
+    /// Executes one layer on a fresh [`InferenceEngine`](crate::InferenceEngine)
+    /// pool of `threads` workers (clamped to the layer's output rows): the
+    /// layer is planned, then run once through the engine's resident-PE
+    /// shard runner as network layer 0, with ABFT verification and healing
+    /// when the configuration asks for it. The output is the raw accumulated
+    /// feature map: no bias, no activation, no non-finite guard.
     ///
-    /// Work units are sharded by whole output rows: worker `w` owns every row
-    /// at a position congruent to `w` modulo `threads` in the plan's
-    /// phase-major row order (all output channels of that row). Each work
-    /// unit writes a disjoint output row and the per-worker `u64` counters
-    /// are order-independent sums, so the output feature map, cycle counts
-    /// and [`EventCounts`] are bit-identical for every `threads` value
-    /// (including 1, the serial fast path).
+    /// Shards are whole output rows (all output channels), so the output
+    /// feature map, cycle counts and [`EventCounts`] are bit-identical for
+    /// every `threads` value. Each call opens one fault epoch on a fresh
+    /// injector, so a seeded [`FaultSpec`](ganax_sim::FaultSpec) corrupts
+    /// identically on every call and at every thread count.
     ///
     /// # Errors
     /// As [`GanaxMachine::execute_layer`].
@@ -849,18 +850,16 @@ impl GanaxMachine {
         weights: &Tensor,
         threads: usize,
     ) -> Result<MachineRun, MachineError> {
-        let planned = self.plan_layer(layer, weights)?;
-        let (run, _shard_busy) = self.execute_planned(layer, input, &planned, threads, 0)?;
-        Ok(run)
+        let threads = threads.clamp(1, layer.output.height.max(1));
+        crate::InferenceEngine::new(*self, threads).execute_layer(layer, input, weights)
     }
 
     /// Validates a layer and builds everything the hot path needs to execute
     /// it: the hoisted [`LayerPlan`] and the PE sizing the plan was built for.
     ///
     /// Planning is the expensive per-layer prologue (tap analysis, chunking,
-    /// weight gathering); separating it from execution lets
-    /// [`crate::network::NetworkExecution`] stage layer `N + 1`'s plan on a
-    /// spare thread while layer `N` is still retiring.
+    /// weight gathering); a [`CompiledNetwork`](crate::CompiledNetwork) runs
+    /// it once per layer so warm requests never plan.
     pub(crate) fn plan_layer(
         &self,
         layer: &Layer,
@@ -879,178 +878,9 @@ impl GanaxMachine {
         Ok(PlannedLayer { pe_config, plan })
     }
 
-    /// Executes one layer from a prebuilt [`PlannedLayer`], returning the run
-    /// and the per-worker busy-cycle split (for load-balance reporting).
-    ///
-    /// `layer_index` is the network-level layer index used as the fault
-    /// coordinate when the config arms a [`FaultSpec`](ganax_sim::FaultSpec)
-    /// (0 for the one-shot layer APIs). Each call builds a fresh
-    /// [`FaultInjector`], so the same seed reproduces the same corruption on
-    /// every call and at every thread count.
-    pub(crate) fn execute_planned(
-        &self,
-        layer: &Layer,
-        input: &Tensor,
-        planned: &PlannedLayer,
-        threads: usize,
-        layer_index: usize,
-    ) -> Result<(MachineRun, Vec<u64>), MachineError> {
-        if input.shape() != layer.input {
-            return Err(MachineError::ShapeMismatch {
-                detail: format!("input {} != layer input {}", input.shape(), layer.input),
-            });
-        }
-        let pe_config = &planned.pe_config;
-        let plan = &planned.plan;
-        let mut output = Tensor::zeros(layer.output);
-        let width = layer.output.width;
-        let height = layer.output.height;
-        let threads = threads.clamp(1, height.max(1));
-
-        let mut busy = 0u64;
-        let mut counts = EventCounts::default();
-        let mut work_units = 0u64;
-        let mut shard_busy = Vec::with_capacity(threads);
-        let verify = self.config.integrity.verifies();
-        let mut checks: Vec<(usize, RowChecksum)> = Vec::new();
-        let injector = FaultInjector::new(self.config.fault);
-        injector.begin_epoch();
-        let faults = ShardFaults {
-            injector: &injector,
-            layer_index,
-        };
-        {
-            // Output rows in `(co, oy)` order are the contiguous `width`-sized
-            // chunks of the output buffer; group them per output row `oy`
-            // (every channel), because a shard processes whole `oy` slices —
-            // that lets one input-stream load serve every output channel.
-            let mut rows_by_oy: Vec<(usize, Vec<&mut [f32]>)> =
-                (0..height).map(|oy| (oy, Vec::new())).collect();
-            for (idx, row) in output.data_mut().chunks_mut(width).enumerate() {
-                rows_by_oy[idx % height].1.push(row);
-            }
-            type ShardResult =
-                Result<(u64, EventCounts, u64, Vec<(usize, RowChecksum)>), MachineError>;
-            let shard_results: Vec<ShardResult> = if threads == 1 {
-                vec![run_shard(
-                    layer, input, plan, pe_config, rows_by_oy, faults, verify,
-                )]
-            } else {
-                // Wide phase-major slices over the plan's row order: rows of
-                // one phase share a tap count, and block striping (see
-                // `shard_for_position`) keeps every worker's mix of shallow-
-                // and deep-phase rows balanced while handing off work in
-                // contiguous runs (assigning by raw `oy` would hand one
-                // worker every deep-phase row whenever `threads` divides the
-                // phase stride).
-                let mut position = vec![0usize; height];
-                for (pos, &oy) in plan.row_order.iter().enumerate() {
-                    position[oy] = pos;
-                }
-                let mut shards: Vec<Vec<(usize, Vec<&mut [f32]>)>> =
-                    (0..threads).map(|_| Vec::new()).collect();
-                for (oy, rows) in rows_by_oy {
-                    shards[shard_for_position(position[oy], height, threads)].push((oy, rows));
-                }
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .into_iter()
-                        .map(|shard| {
-                            scope.spawn(move || {
-                                run_shard(layer, input, plan, pe_config, shard, faults, verify)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| {
-                            handle.join().unwrap_or_else(|_| {
-                                Err(MachineError::WorkerPanic {
-                                    layer: layer.name.clone(),
-                                })
-                            })
-                        })
-                        .collect()
-                })
-            };
-            // Deterministic reduction: worker-index order. The totals are
-            // `u64` sums over disjoint work units, so they are identical for
-            // every thread count and shard assignment.
-            for result in shard_results {
-                let (busy_one, shard_counts, shard_units, shard_checks) = result?;
-                busy += busy_one;
-                counts += shard_counts;
-                work_units += shard_units;
-                shard_busy.push(busy_one);
-                checks.extend(shard_checks);
-            }
-        }
-
-        // ABFT verification at retire time, with surgical healing: flagged
-        // rows re-execute in a fresh fault epoch (serially — they are the
-        // exception path) and only their slices are recomputed, so unflagged
-        // rows, the activity counters and the busy split keep their original
-        // (bit-identical at every thread count) values. Repair work is
-        // excluded from the counters entirely: corruption never changes what
-        // the clean computation would have counted.
-        if verify {
-            let mut rounds = 0u32;
-            loop {
-                let mut flagged: Vec<usize> = checks
-                    .iter()
-                    .filter(|(oy, check)| !row_checksum_ok(plan, *oy, check))
-                    .map(|(oy, _)| *oy)
-                    .collect();
-                if flagged.is_empty() {
-                    break;
-                }
-                flagged.sort_unstable();
-                flagged.dedup();
-                if !self.config.integrity.heals() || rounds >= MAX_HEAL_ROUNDS {
-                    return Err(MachineError::IntegrityViolation {
-                        layer: layer.name.clone(),
-                        rows: flagged,
-                    });
-                }
-                rounds += 1;
-                injector.begin_epoch();
-                let mut heal_rows: Vec<(usize, Vec<&mut [f32]>)> =
-                    flagged.iter().map(|&oy| (oy, Vec::new())).collect();
-                for (idx, row) in output.data_mut().chunks_mut(width).enumerate() {
-                    let oy = idx % height;
-                    if let Ok(slot) = flagged.binary_search(&oy) {
-                        row.fill(0.0);
-                        heal_rows[slot].1.push(row);
-                    }
-                }
-                let (_, _, _, healed) =
-                    run_shard(layer, input, plan, pe_config, heal_rows, faults, true)?;
-                for (oy, check) in &mut checks {
-                    if let Some(new) = healed.iter().find(|(h, _)| h == oy) {
-                        *check = new.1;
-                    }
-                }
-            }
-        }
-
-        // Horizontal accumulation of each node's partial sums into the output
-        // row (one hop per produced element).
-        counts.inter_pe_transfers += work_units * width as u64;
-
-        Ok((
-            MachineRun {
-                output,
-                busy_pe_cycles: busy,
-                counts,
-                work_units,
-            },
-            shard_busy,
-        ))
-    }
-
     /// Executes one layer on the seed one-cycle-at-a-time serial path: one PE,
     /// [`ProcessingEngine::run_until_idle`] (no bursts), and per-work-unit
-    /// row/weight gathering. Kept as the measured baseline the fast paths are
+    /// row/weight gathering. Kept as the measured baseline the engine is
     /// property-tested against — and benchmarked against in
     /// `BENCH_machine.json`.
     ///
@@ -1193,119 +1023,6 @@ impl GanaxMachine {
     }
 }
 
-/// Runs every work unit of one shard of whole output rows (`oy` slices, all
-/// channels) on a fresh worker PE, accumulating partial sums into the
-/// shard's (disjoint) output-row slices.
-///
-/// The hot path exploits the work-unit structure twice over:
-///
-/// * columns dispatch chunk-wise — a chunk's operand values are gathered
-///   into contiguous streams walked by linear index generators while one
-///   `repeat`+`mac` µop pair per column drains them, which the PE retires as
-///   a single provably stall-free burst (the engine bundles equal-tap chunks
-///   into larger dispatches; this per-chunk runner is its independent
-///   oracle);
-/// * output channels batch — a gathered input stream depends only on
-///   `(oy, ky, ci)`, so it is loaded once and *replayed* by the input
-///   generator's repeat register across a whole group of output channels,
-///   whose weight streams concatenate in the weight scratchpad and whose
-///   partial sums land in disjoint output words.
-///
-/// Per work unit and column this performs exactly the reference path's
-/// traffic (`taps` input + `taps` weight reads, two µop fetches, one
-/// write-back, `taps` busy cycles), so counter totals and the f32
-/// accumulation order per output element are bit-identical; only the
-/// scratchpad layout differs. Bulk loads are excluded from the returned
-/// counts, as the reference path excludes its own per-unit loads. The output
-/// scratchpad is not cleared between dispatches: every program overwrites
-/// its output word before it is read back.
-fn run_shard(
-    layer: &Layer,
-    input: &Tensor,
-    plan: &LayerPlan,
-    pe_config: &PeConfig,
-    shard: Vec<(usize, Vec<&mut [f32]>)>,
-    faults: ShardFaults<'_>,
-    verify: bool,
-) -> Result<(u64, EventCounts, u64, Vec<(usize, RowChecksum)>), MachineError> {
-    let mut pe = ProcessingEngine::new(*pe_config);
-    let mut load_words = 0u64;
-    let mut work_units = 0u64;
-    let mut checks: Vec<(usize, RowChecksum)> = Vec::new();
-    // Fault-free shards scatter without consulting the injector per channel.
-    let faults_on = faults.injector.is_enabled();
-
-    for (oy, mut co_rows) in shard {
-        // On this scoped path an injected worker disturbance surfaces as a
-        // typed error (the caller has no supervision to recover a panic);
-        // the engine's persistent workers turn the same decision into a real
-        // panic that its supervision catches.
-        match faults.worker_fault(oy) {
-            Some(WorkerFault::Panic) => {
-                return Err(MachineError::WorkerPanic {
-                    layer: layer.name.clone(),
-                })
-            }
-            Some(WorkerFault::Stall) => {
-                std::thread::sleep(std::time::Duration::from_millis(STALL_MILLIS))
-            }
-            None => {}
-        }
-        let mut check = RowChecksum::default();
-        for &(ky, iy) in &plan.row_taps[oy] {
-            for ci in 0..layer.input.channels {
-                work_units += co_rows.len() as u64;
-                let input_row = input.row_2d(ci, iy);
-                for (chunk_idx, chunk) in plan.chunks.iter().enumerate() {
-                    let base = dispatch_ordinal_base(plan, layer, ky, ci, chunk_idx);
-                    let stream = chunk.taps * chunk.cols;
-                    if verify {
-                        accumulate_input_checksum(plan, chunk_idx, ky, ci, input_row, &mut check);
-                    }
-                    pe.load_input_with(stream, |buf| {
-                        gather_input(chunk.taps, chunk_input_starts(plan, chunk), input_row, buf);
-                        faults.corrupt_input_stream(oy, base, buf);
-                    });
-                    load_words += stream as u64;
-
-                    let mut co0 = 0;
-                    while co0 < co_rows.len() {
-                        let group = chunk.group_max.min(co_rows.len() - co0);
-                        load_words += load_chunk_weights(
-                            &mut pe, plan, chunk, group, co0, ci, ky, faults, base,
-                        );
-                        let produced =
-                            retire_group(&mut pe, chunk.taps, chunk.cols, group, 0, layer)?;
-                        for (k, slots) in produced.chunks_exact(chunk.cols).enumerate() {
-                            let fault = faults_on
-                                .then(|| faults.emit_fault(oy, base + co0 as u64, co0 + k))
-                                .flatten();
-                            let row = co_rows[co0 + k][chunk.ox_start..].iter_mut();
-                            add_slots(row.step_by(chunk.col_step), slots, fault);
-                        }
-                        co0 += group;
-                    }
-                }
-            }
-        }
-        if verify {
-            // The observed checksum walks the finished row channel-major
-            // (`co` ascending, columns ascending) — the order the engine's
-            // fold walks its slot-permuted rows in.
-            for row in &co_rows {
-                for &value in row.iter() {
-                    check.observed += f64::from(value);
-                }
-            }
-            checks.push((oy, check));
-        }
-    }
-
-    let mut counts = pe.counts();
-    counts.register_file_writes -= load_words;
-    Ok((pe.busy_cycles(), counts, work_units, checks))
-}
-
 /// Gathers one input row's operand stream into `dst`: `taps` words starting
 /// at each column's first input column, one column after another. Like the
 /// PE's canonical retire, the copy is monomorphised on the tap counts the
@@ -1339,8 +1056,7 @@ fn chunk_input_starts<'a>(plan: &'a LayerPlan, chunk: &ColumnChunk) -> &'a [usiz
 /// Adds one channel's produced partial sums into its output words, in
 /// order: `out` yields the word each of `slots` lands on. An injected emit
 /// fault drops the contribution (stuck lane, dropped µop) or adds it twice
-/// (duplicated µop). Shared by both shard runners, so their emits stay
-/// bit-identical.
+/// (duplicated µop).
 pub(crate) fn add_slots<'a>(
     out: impl Iterator<Item = &'a mut f32>,
     slots: &[f32],
@@ -1362,44 +1078,6 @@ pub(crate) fn add_slots<'a>(
     }
 }
 
-/// Stages the weight streams of one `(chunk, ci, ky, channel group)` into
-/// the weight scratchpad, returning the words loaded (bulk loads are
-/// excluded from the reported counts by the callers). `ordinal` is the
-/// chunk's [`dispatch_ordinal_base`]; the group's weight-fault sites sit at
-/// `ordinal + co0`.
-///
-/// The streams were gathered once at plan time ([`LayerPlan::weight_streams`],
-/// laid out per dispatch), so the load copies the chunk's piece of each
-/// channel's stream. Scheduled corruption applies to the PE-local buffer
-/// *after* the copy — the shared plan is never mutated.
-#[allow(clippy::too_many_arguments)]
-fn load_chunk_weights(
-    pe: &mut ProcessingEngine,
-    plan: &LayerPlan,
-    chunk: &ColumnChunk,
-    group: usize,
-    co0: usize,
-    ci: usize,
-    ky: usize,
-    faults: ShardFaults<'_>,
-    ordinal: u64,
-) -> u64 {
-    let dispatch = &plan.dispatches[chunk.dispatch];
-    let dispatch_stream = dispatch.taps * dispatch.cols;
-    let stream = chunk.taps * chunk.cols;
-    let base = plan.weight_stream_base[chunk.dispatch]
-        + ((ky * plan.input_channels + ci) * plan.output_channels + co0) * dispatch_stream
-        + chunk.dispatch_col * chunk.taps;
-    pe.load_weights_with(group * stream, |buf| {
-        for (k, dst) in buf.chunks_exact_mut(stream).enumerate() {
-            let src = base + k * dispatch_stream;
-            dst.copy_from_slice(&plan.weight_streams[src..src + stream]);
-        }
-        faults.corrupt_weights(ordinal + co0 as u64, 0, buf);
-    });
-    (group * stream) as u64
-}
-
 /// Stages the weight streams of one `(dispatch, ci, ky, channel group)` into
 /// the weight scratchpad as a single contiguous copy, returning the words
 /// loaded. `ordinals[i]` is the [`dispatch_ordinal_base`] of the dispatch's
@@ -1407,9 +1085,9 @@ fn load_chunk_weights(
 ///
 /// Scheduled corruption keeps each chunk's own fault sites: channel `co`'s
 /// piece of chunk `x` is corrupted at `ordinals[i] + g0`, element
-/// `(co - g0) × stream + e`, where `g0` starts the channel group that chunk
-/// `x` alone would dispatch `co` in — exactly the sites
-/// `load_chunk_weights` corrupts on the per-layer path.
+/// `(co - g0) × piece + e`, where `g0` starts the channel group that chunk
+/// `x` alone would dispatch `co` in (a multiple of its `group_max`) — so
+/// bundling chunks into dispatches never moves a weight-fault site.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn load_dispatch_weights(
     pe: &mut ProcessingEngine,
@@ -1451,8 +1129,8 @@ pub(crate) fn load_dispatch_weights(
 /// Dispatches one `group × cols` program of `taps`-tap columns against the
 /// input stream resident at `input_base`, retires it as one burst, and
 /// returns the produced partial sums: `group` channel runs of `cols` words,
-/// channel-major. This is the single definition of the hot dispatch body
-/// shared by `run_shard` and the engine's resident-PE worker.
+/// channel-major. This is the hot dispatch body of the engine's resident-PE
+/// worker.
 ///
 /// # Errors
 /// [`MachineError::Timeout`] when the PE fails to drain within the
@@ -1487,9 +1165,8 @@ pub(crate) fn retire_group<'a>(
 ///
 /// `input_base` selects which resident input stream the dispatch reads: the
 /// input generator walks `[input_base, input_base + stream)` through its
-/// constant-offset register. The per-layer paths keep a single stream resident
-/// (`input_base == 0`); the inference engine stages a whole block of rows'
-/// streams and addresses one per dispatch.
+/// constant-offset register: the engine stages a whole block of rows' streams
+/// and addresses one per dispatch.
 fn dispatch_group(
     pe: &mut ProcessingEngine,
     taps: usize,
@@ -1973,14 +1650,17 @@ mod tests {
     }
 
     /// The engine bundles chunks into dispatches whose channel groups differ
-    /// from the chunks' own, yet every input, weight and emit fault lands on
-    /// the same `(row, chunk ordinal + chunk group, element/lane)` site as on
-    /// the per-chunk path: outputs, counters and the number of fired faults
-    /// are identical. One row per shard makes the engine load each weight
-    /// block once per row, as the per-chunk path does, so fire counts agree.
+    /// from the chunks' own, yet every input, weight and emit fault must stay
+    /// on its chunk's `(row, chunk ordinal + chunk group, element/lane)` site.
+    /// The pin below was taken from a per-chunk dispatch path (one dispatch
+    /// per chunk and chunk-sized channel groups), whose outputs the engine
+    /// matched bit for bit: the FNV-1a fingerprint of the faulty output's f32
+    /// bits, the counters and the fired-fault count per pool size. Weight
+    /// faults fire once per weight load, and a pool of `p` workers loads
+    /// each weight block once per row block of its shard, so the fire count
+    /// depends on the pool size while the corruption values do not.
     #[test]
     fn bundled_dispatches_keep_every_chunk_fault_site() {
-        use crate::network::NetworkWeights;
         use crate::InferenceEngine;
         use ganax_models::NetworkBuilder;
         use ganax_sim::{FaultKind, FaultSpec};
@@ -2025,48 +1705,47 @@ mod tests {
             "the geometry must bundle chunks under a different channel grouping"
         );
 
-        // The per-chunk oracle, plus its injector's fire count.
-        let oracle = machine
-            .execute_layer_threaded(layer, &input, &weights, 1)
-            .unwrap();
         let clean = GanaxMachine::new(clean_config)
             .execute_layer_threaded(layer, &input, &weights, 1)
             .unwrap();
-        assert_ne!(oracle.output, clean.output, "the schedule must corrupt");
-        let injector = FaultInjector::new(spec);
-        injector.begin_epoch();
-        let mut output = Tensor::zeros(layer.output);
-        let height = layer.output.height;
-        let mut rows: Vec<(usize, Vec<&mut [f32]>)> =
-            (0..height).map(|oy| (oy, Vec::new())).collect();
-        for (idx, row) in output.data_mut().chunks_mut(layer.output.width).enumerate() {
-            rows[idx % height].1.push(row);
-        }
-        let faults = ShardFaults {
-            injector: &injector,
-            layer_index: 0,
+        let counts = EventCounts {
+            alu_ops: 5940,
+            register_file_reads: 11880,
+            register_file_writes: 2475,
+            inter_pe_transfers: 2475,
+            local_uop_fetches: 4950,
+            ..EventCounts::default()
         };
-        run_shard(layer, &input, plan, &pe, rows, faults, false).unwrap();
-        assert_eq!(output, oracle.output);
-        assert!(injector.injected_faults() > 0);
-
-        let bundle = NetworkWeights::new(&network, vec![weights]).unwrap();
-        let engine = InferenceEngine::new(machine, height);
-        let compiled = engine.compile(&network, &bundle).unwrap();
-        let run = engine.execute(&compiled, &input).unwrap();
-        assert_eq!(run.output, oracle.output);
-        assert_eq!(run.total_counts(), oracle.counts);
-        assert_eq!(run.total_busy_pe_cycles(), oracle.busy_pe_cycles);
-        assert_eq!(run.total_work_units(), oracle.work_units);
-        assert_eq!(engine.injected_faults(), injector.injected_faults());
+        let height = layer.output.height;
+        assert_eq!(height, 5);
+        for (pool, fired) in [(1, 178), (2, 267), (height, 287)] {
+            let engine = InferenceEngine::new(machine, pool);
+            let run = engine.execute_layer(layer, &input, &weights).unwrap();
+            assert_ne!(
+                run.output, clean.output,
+                "pool {pool}: the schedule must corrupt"
+            );
+            let mut hash = crate::config::FNV_OFFSET;
+            for value in run.output.data() {
+                crate::config::fnv1a64(&mut hash, &value.to_bits().to_le_bytes());
+            }
+            assert_eq!(
+                hash, 0x960c_a672_39fb_32b4,
+                "pool {pool}: output fingerprint"
+            );
+            assert_eq!(run.counts, counts, "pool {pool}: counts");
+            assert_eq!(run.busy_pe_cycles, 5940, "pool {pool}: busy cycles");
+            assert_eq!(run.work_units, 165, "pool {pool}: work units");
+            assert_eq!(engine.injected_faults(), fired, "pool {pool}: fired faults");
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Across random conv/tconv geometries, the burst-stepped fast path
-        /// (serial and threaded) produces outputs, `busy_pe_cycles` and
-        /// `EventCounts` bit-identical to the seed single-step serial path.
+        /// Across random conv/tconv geometries, the engine (one worker and
+        /// several) produces outputs, `busy_pe_cycles` and `EventCounts`
+        /// bit-identical to the seed single-step serial path.
         #[test]
         fn prop_fast_paths_match_single_step_reference(
             tconv in 0u16..2,

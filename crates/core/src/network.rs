@@ -1,24 +1,19 @@
 //! End-to-end network execution on the cycle-level machine.
 //!
-//! [`GanaxMachine::execute_network`] chains every layer of a [`Network`]
-//! through the fast burst/threaded path of
-//! [`GanaxMachine::execute_layer_threaded`]:
+//! [`GanaxMachine::execute_network`] compiles a [`Network`] and runs it once
+//! on a fresh [`InferenceEngine`](crate::InferenceEngine), the same
+//! resident-PE pool the serving stack keeps warm:
 //!
 //! * **inter-layer handoff** — each layer's output feature map (bias applied,
 //!   activation applied) becomes the next layer's input; for transposed
 //!   convolutions the next layer's plan addresses the original (non-inserted)
 //!   elements directly through the zero-insertion phase analysis of
-//!   `ganax_dataflow`, and its rows are staged in the phase-major order of
-//!   the Figure 5 output-row reorganization;
+//!   `ganax_dataflow`, and its rows are dispatched in the phase-major order
+//!   of the Figure 5 output-row reorganization;
 //! * **host stages** — fully-connected projection layers (latent vector →
 //!   initial feature map) run on the host, exactly as the machine's layer
 //!   API documents; their cycles and counts are reported as zero and flagged
-//!   [`LayerExecution::host`];
-//! * **double-buffered operand staging** — while layer `N` retires on the
-//!   worker PEs, layer `N + 1`'s [`plan`](GanaxMachine) (tap analysis,
-//!   column chunking, gathered weight rows) is built on a spare thread, so
-//!   the planning prologue overlaps simulation instead of serializing with
-//!   it.
+//!   [`LayerExecution::host`].
 //!
 //! The result is a [`NetworkExecution`] report: per-layer busy cycles,
 //! [`EventCounts`], load-balance utilization and wall-clock, plus the final
@@ -54,7 +49,7 @@ use ganax_models::{Activation, Layer, LayerOp, Network};
 use ganax_sim::ActivationKind;
 use ganax_tensor::{conv, tconv, Shape, Tensor};
 
-use crate::machine::{GanaxMachine, MachineError, MachineRun, PlannedLayer};
+use crate::machine::{GanaxMachine, MachineError};
 
 /// Per-layer weight tensors (and optional per-channel biases) for one
 /// [`Network`], validated against the network's layer shapes.
@@ -229,8 +224,8 @@ pub struct LayerExecution {
     /// over `workers × busiest worker's busy cycles` (1.0 when perfectly
     /// balanced or serial; 1.0 for host layers by convention).
     pub balance: f64,
-    /// Wall-clock seconds this layer took to simulate (including the staged
-    /// planning overlap).
+    /// Wall-clock seconds this layer took to execute (planning excluded: it
+    /// happens once, at compile time).
     pub wall_seconds: f64,
 }
 
@@ -249,10 +244,9 @@ pub struct NetworkExecution {
     /// Total wall-clock seconds.
     pub wall_seconds: f64,
     /// Wall-clock seconds spent planning layers **during this call**: the
-    /// one-shot paths ([`GanaxMachine::execute_network`] and the staged
-    /// baseline) report their per-call planning cost here; runs from a
-    /// prebuilt [`CompiledNetwork`](crate::CompiledNetwork) report exactly
-    /// `0.0` — the plan cache was hit.
+    /// one-shot [`GanaxMachine::execute_network`] reports its compile cost
+    /// here; runs from a prebuilt [`CompiledNetwork`](crate::CompiledNetwork)
+    /// report exactly `0.0` — the plan cache was hit.
     pub plan_seconds: f64,
 }
 
@@ -484,10 +478,8 @@ impl GanaxMachine {
     /// exercises the exact serving path, paying the compile cost that a
     /// long-lived engine amortizes across requests. The returned report's
     /// [`NetworkExecution::plan_seconds`] carries that compile cost;
-    /// [`NetworkExecution::wall_seconds`] includes it.
-    ///
-    /// Results are bit-identical to [`GanaxMachine::execute_network_staged`]
-    /// (the pre-engine baseline) at every worker count.
+    /// [`NetworkExecution::wall_seconds`] includes it. Results are
+    /// bit-identical at every worker count.
     ///
     /// # Errors
     /// As [`GanaxMachine::execute_network`].
@@ -506,154 +498,6 @@ impl GanaxMachine {
         run.plan_seconds = compiled.plan_seconds();
         run.wall_seconds = start.elapsed().as_secs_f64();
         Ok(run)
-    }
-
-    /// Executes a whole network through the **pre-engine staged path**: plans
-    /// are rebuilt on every call (layer `N + 1`'s plan staged on a spare
-    /// thread while layer `N` retires), each layer spawns fresh
-    /// `std::thread::scope` workers with newly constructed PEs, and operand
-    /// streams are re-gathered per output row.
-    ///
-    /// This is the **cold / uncompiled serving baseline**: what one request
-    /// costs without a cached [`CompiledNetwork`](crate::CompiledNetwork).
-    /// It is retained verbatim (plus planning-time accounting) as the oracle
-    /// the engine paths are validated against — outputs, cycles and counters
-    /// are bit-identical between the two — and as the `cold` measurement of
-    /// `bench_serve`.
-    ///
-    /// # Errors
-    /// As [`GanaxMachine::execute_network`].
-    pub fn execute_network_staged(
-        &self,
-        network: &Network,
-        input: &Tensor,
-        weights: &NetworkWeights,
-        threads: usize,
-    ) -> Result<NetworkExecution, MachineError> {
-        check_network_inputs(network, input, weights)?;
-        let start = Instant::now();
-        let mut plan_seconds = 0.0f64;
-        let layers = network.layers();
-        let next_machine_layer = |from: usize| {
-            layers[from..]
-                .iter()
-                .position(|l| !matches!(l.op, LayerOp::Projection))
-                .map(|p| p + from)
-        };
-
-        let mut reports = Vec::with_capacity(layers.len());
-        let mut current = input.clone();
-        // The staged plan for the next PE-array layer, built while the
-        // previous one was executing.
-        let mut staged: Option<(usize, PlannedLayer)> = None;
-
-        /// What one stage produced: a host projection's output, or a machine
-        /// run with its per-worker busy split.
-        enum StageRun {
-            Host(Tensor),
-            Machine(MachineRun, Vec<u64>),
-        }
-
-        for (i, layer) in layers.iter().enumerate() {
-            let layer_start = Instant::now();
-            let is_host = matches!(layer.op, LayerOp::Projection);
-            // A plan staged earlier for exactly this layer, if any; a plan
-            // staged for a later layer stays staged.
-            let prebuilt = match staged.take() {
-                Some((idx, plan)) if idx == i => Some(plan),
-                other => {
-                    staged = other;
-                    None
-                }
-            };
-            // Double-buffered staging: build the next PE-array layer's plan
-            // on a spare thread while this layer — host projection or PE
-            // array alike — executes.
-            let next = next_machine_layer(i + 1)
-                .filter(|j| staged.as_ref().map_or(true, |(idx, _)| idx != j));
-            let (result, staged_next) = std::thread::scope(|scope| {
-                let handle = next.map(|j| {
-                    scope.spawn(move || {
-                        let plan_start = Instant::now();
-                        let plan = self.plan_layer(&layers[j], weights.weight(j));
-                        (plan, plan_start.elapsed().as_secs_f64())
-                    })
-                });
-                let result = if is_host {
-                    host_projection(layer, &current, weights.weight(i)).map(StageRun::Host)
-                } else {
-                    let planned = match prebuilt {
-                        Some(plan) => Ok(plan),
-                        None => {
-                            let plan_start = Instant::now();
-                            let plan = self.plan_layer(layer, weights.weight(i));
-                            plan_seconds += plan_start.elapsed().as_secs_f64();
-                            plan
-                        }
-                    };
-                    planned.and_then(|plan| {
-                        self.execute_planned(layer, &current, &plan, threads, i)
-                            .map(|(run, shard_busy)| StageRun::Machine(run, shard_busy))
-                    })
-                };
-                let staged_next = handle.map(|h| h.join().expect("planner thread panicked"));
-                (result, staged_next)
-            });
-            let stage = result?;
-            if let (Some(j), Some((plan_result, plan_elapsed))) = (next, staged_next) {
-                plan_seconds += plan_elapsed;
-                staged = Some((j, plan_result?));
-            }
-            let (mut out, report) = match stage {
-                StageRun::Host(out) => (
-                    out,
-                    LayerExecution {
-                        name: layer.name.clone(),
-                        is_tconv: false,
-                        host: true,
-                        busy_pe_cycles: 0,
-                        work_units: 0,
-                        counts: EventCounts::default(),
-                        balance: 1.0,
-                        wall_seconds: 0.0,
-                    },
-                ),
-                StageRun::Machine(run, shard_busy) => {
-                    let max_shard = shard_busy.iter().copied().max().unwrap_or(0);
-                    let balance = if max_shard == 0 {
-                        1.0
-                    } else {
-                        run.busy_pe_cycles as f64 / (shard_busy.len() as u64 * max_shard) as f64
-                    };
-                    let report = LayerExecution {
-                        name: layer.name.clone(),
-                        is_tconv: layer.is_tconv(),
-                        host: false,
-                        busy_pe_cycles: run.busy_pe_cycles,
-                        work_units: run.work_units,
-                        counts: run.counts,
-                        balance,
-                        wall_seconds: 0.0,
-                    };
-                    (run.output, report)
-                }
-            };
-            finish_layer_output(layer, &mut out, weights.bias(i));
-            current = out;
-            reports.push(LayerExecution {
-                wall_seconds: layer_start.elapsed().as_secs_f64(),
-                ..report
-            });
-        }
-
-        Ok(NetworkExecution {
-            network: network.name().to_string(),
-            threads,
-            layers: reports,
-            output: current,
-            wall_seconds: start.elapsed().as_secs_f64(),
-            plan_seconds,
-        })
     }
 }
 
@@ -755,26 +599,30 @@ mod tests {
     fn execute_network_matches_hand_chained_layers() {
         let net = toy_network();
         let weights = toy_weights(&net, 11);
-        let input = xorshift_tensor(net.input_shape(), 29);
         let machine = GanaxMachine::paper();
-        let run = machine
-            .execute_network_threaded(&net, &input, &weights, 2)
-            .unwrap();
+        for seed in [29, 31] {
+            let input = xorshift_tensor(net.input_shape(), seed);
+            let run = machine
+                .execute_network_threaded(&net, &input, &weights, 2)
+                .unwrap();
 
-        let mut current = input.clone();
-        for (i, layer) in net.layers().iter().enumerate() {
-            let mut out = if matches!(layer.op, LayerOp::Projection) {
-                host_projection(layer, &current, weights.weight(i)).unwrap()
-            } else {
-                machine
-                    .execute_layer_threaded(layer, &current, weights.weight(i), 2)
-                    .unwrap()
-                    .output
-            };
-            finish_layer_output(layer, &mut out, weights.bias(i));
-            current = out;
+            let mut current = input.clone();
+            for (i, layer) in net.layers().iter().enumerate() {
+                let mut out = if matches!(layer.op, LayerOp::Projection) {
+                    host_projection(layer, &current, weights.weight(i)).unwrap()
+                } else {
+                    let single_step = machine
+                        .execute_layer_reference(layer, &current, weights.weight(i))
+                        .unwrap();
+                    assert_eq!(run.layers[i].counts, single_step.counts, "{}", layer.name);
+                    assert_eq!(run.layers[i].busy_pe_cycles, single_step.busy_pe_cycles);
+                    single_step.output
+                };
+                finish_layer_output(layer, &mut out, weights.bias(i));
+                current = out;
+            }
+            assert_eq!(run.output, current, "network path diverged from hand chain");
         }
-        assert_eq!(run.output, current, "network path diverged from hand chain");
     }
 
     #[test]

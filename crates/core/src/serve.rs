@@ -661,13 +661,15 @@ impl ServerShared {
 
     /// Resolves a batch of drained requests with [`ServeError::Cancelled`].
     fn cancel(&self, requests: impl IntoIterator<Item = Request>) {
-        let mut cancelled = 0u64;
+        let requests: Vec<Request> = requests.into_iter().collect();
+        if requests.is_empty() {
+            return;
+        }
+        // Count before resolving, so a client woken by its reply already
+        // sees the cancellation in `stats()`.
+        lock_unpoisoned(&self.stats).cancelled += requests.len() as u64;
         for request in requests {
             let _ = request.reply.send(Err(ServeError::Cancelled));
-            cancelled += 1;
-        }
-        if cancelled > 0 {
-            lock_unpoisoned(&self.stats).cancelled += cancelled;
         }
     }
 }
@@ -1013,23 +1015,27 @@ fn run_wave(shared: &ServerShared, wave_id: u64, model: usize, wave: Vec<Request
     let request_deadline = shared.config.request_deadline;
     let mut inputs = Vec::with_capacity(wave.len());
     let mut replies = Vec::with_capacity(wave.len());
-    let mut expired = 0u64;
+    let mut expired = Vec::new();
     for request in wave {
         // A request that already outlived its deadline in the queue is
         // resolved here instead of burning pool time on a dead answer.
         if !request_deadline.is_zero() && request.submitted.elapsed() > request_deadline {
-            let _ = request.reply.send(Err(ServeError::DeadlineExceeded {
-                model: entry.name.clone(),
-                deadline: request_deadline,
-            }));
-            expired += 1;
+            expired.push(request.reply);
             continue;
         }
         inputs.push(request.input);
         replies.push((request.submitted, request.reply));
     }
-    if expired > 0 {
-        lock_unpoisoned(&shared.stats).deadline_exceeded += expired;
+    if !expired.is_empty() {
+        // Count before resolving, so a client woken by its reply already
+        // sees the miss in `stats()`.
+        lock_unpoisoned(&shared.stats).deadline_exceeded += expired.len() as u64;
+        for reply in expired {
+            let _ = reply.send(Err(ServeError::DeadlineExceeded {
+                model: entry.name.clone(),
+                deadline: request_deadline,
+            }));
+        }
     }
     if inputs.is_empty() {
         return;

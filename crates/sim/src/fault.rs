@@ -12,9 +12,8 @@
 //! decisions at precise *fault sites* — coordinates such as
 //! `(layer, output row, dispatch ordinal, element)` that are derived from the
 //! layer plan rather than from scheduling, so **the same seed reproduces the
-//! same corruption at any thread count and on every execution path** (the
-//! per-layer fast path, the threaded scheduler and the persistent engine
-//! pool all see identical faults).
+//! same corruption at any thread count** (every pool size of the engine, and
+//! every way it bundles work units into dispatches, sees identical faults).
 //!
 //! Decisions are pure hashes of `(seed, kind, site)` — no RNG state is
 //! consumed, so query order is irrelevant. A small amount of shared state
@@ -267,10 +266,10 @@ impl FaultInjector {
     /// Possibly corrupts one gathered input operand.
     ///
     /// `ordinal` is the dispatch ordinal of the work unit —
-    /// `((ky * ci_count + ci) * n_chunks + chunk) * co_groups + group` — a
-    /// pure function of the layer plan, identical on every execution path
-    /// and at every thread count. `element` indexes the operand within the
-    /// gathered stream.
+    /// `((ky * ci_count + ci) * n_chunks + chunk) * co_count`, plus the first
+    /// channel of the chunk's channel group for weight and emit sites — a
+    /// pure function of the layer plan, identical at every thread count.
+    /// `element` indexes the operand within the gathered stream.
     pub fn corrupt_input(
         &self,
         layer: usize,

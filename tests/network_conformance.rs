@@ -29,8 +29,8 @@
 //! accumulation order by construction.
 //!
 //! A property test additionally checks `execute_network` against a hand-made
-//! composition of the per-layer fast path on random small conv/tconv
-//! networks.
+//! composition of the single-step reference (`execute_layer_reference` per
+//! layer) on random small conv/tconv networks.
 
 use ganax::network::{finish_layer_output, host_projection, reference_network_forward};
 use ganax::{GanaxMachine, NetworkWeights};
@@ -256,9 +256,9 @@ fn random_network(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `execute_network` equals the per-layer fast path composed by hand —
-    /// same outputs, cycles and counters — for random small networks, across
-    /// thread counts.
+    /// `execute_network` equals the single-step reference composed by hand —
+    /// same outputs, cycles and counters — for random small networks and two
+    /// inputs each, across thread counts.
     #[test]
     fn prop_execute_network_equals_hand_composition(
         channels in 1usize..3,
@@ -276,34 +276,36 @@ proptest! {
         weights = weights
             .with_bias(0, (0..bias_len).map(|i| i as f32 * 0.5 - 0.5).collect())
             .expect("bias sized from the layer");
-        let input = deterministic_tensor(network.input_shape(), seed ^ 0x1234);
         let machine = GanaxMachine::paper();
+        for salt in [0x1234, 0x5678] {
+            let input = deterministic_tensor(network.input_shape(), seed ^ salt);
+            let run = machine
+                .execute_network_threaded(&network, &input, &weights, threads)
+                .expect("network executes");
 
-        let run = machine
-            .execute_network_threaded(&network, &input, &weights, threads)
-            .expect("network executes");
+            let mut current = input.clone();
+            let mut busy = 0u64;
+            let mut work_units = 0u64;
+            for (i, layer) in network.layers().iter().enumerate() {
+                let single = machine
+                    .execute_layer_reference(layer, &current, weights.weight(i))
+                    .expect("layer executes");
+                prop_assert_eq!(run.layers[i].counts, single.counts, "{} counts", &layer.name);
+                busy += single.busy_pe_cycles;
+                work_units += single.work_units;
+                let mut out = single.output;
+                finish_layer_output(layer, &mut out, weights.bias(i));
+                current = out;
+            }
+            prop_assert_eq!(run.output.data(), current.data(), "output diverged");
+            prop_assert_eq!(run.total_busy_pe_cycles(), busy);
+            prop_assert_eq!(run.total_work_units(), work_units);
 
-        let mut current = input.clone();
-        let mut busy = 0u64;
-        let mut work_units = 0u64;
-        for (i, layer) in network.layers().iter().enumerate() {
-            let single = machine
-                .execute_layer_threaded(layer, &current, weights.weight(i), threads)
-                .expect("layer executes");
-            busy += single.busy_pe_cycles;
-            work_units += single.work_units;
-            let mut out = single.output;
-            finish_layer_output(layer, &mut out, weights.bias(i));
-            current = out;
+            // And the whole-network run is invariant in the thread count.
+            let other = machine
+                .execute_network_threaded(&network, &input, &weights, threads % 5 + 1)
+                .expect("network executes");
+            prop_assert_eq!(run.output.data(), other.output.data());
         }
-        prop_assert_eq!(run.output.data(), current.data(), "output diverged");
-        prop_assert_eq!(run.total_busy_pe_cycles(), busy);
-        prop_assert_eq!(run.total_work_units(), work_units);
-
-        // And the whole-network run is invariant in the thread count.
-        let other = machine
-            .execute_network_threaded(&network, &input, &weights, threads % 5 + 1)
-            .expect("network executes");
-        prop_assert_eq!(run.output.data(), other.output.data());
     }
 }

@@ -1,5 +1,5 @@
 //! Serving conformance: the compile-once inference engine must be
-//! **bit-identical** to the one-shot execution paths it replaces.
+//! **bit-identical** to one-shot execution and to both oracles.
 //!
 //! Three properties pin the engine down:
 //!
@@ -11,18 +11,19 @@
 //!    execution at every pool size — per-element outputs bit for bit, and
 //!    the aggregated busy cycles / [`EventCounts`] / energy equal to the sum
 //!    of the sequential runs;
-//! 3. the engine equals the pre-refactor staged baseline
-//!    ([`GanaxMachine::execute_network_staged`]) on reduced Table I
-//!    generators, so the serving path inherits the conformance suite's
-//!    guarantees.
+//! 3. on reduced Table I generators the engine equals the `ganax_tensor`
+//!    chain ([`reference_network_forward`]) and the single-step reference
+//!    chained by hand ([`GanaxMachine::execute_layer_reference`]), so the
+//!    serving path inherits the conformance suite's guarantees.
 //!
 //! Engine runs are also asserted to perform **zero planning**
 //! ([`NetworkExecution::plan_seconds`]) — the compile-once contract.
 
+use ganax::network::{finish_layer_output, host_projection, reference_network_forward};
 use ganax::{GanaxMachine, InferenceEngine, NetworkWeights};
 use ganax_bench::{conformance_input, conformance_weights, deterministic_tensor};
 use ganax_energy::{EnergyModel, EventCounts};
-use ganax_models::{zoo, Activation, Network, NetworkBuilder};
+use ganax_models::{zoo, Activation, LayerOp, Network, NetworkBuilder};
 use ganax_tensor::{ConvParams, Shape, Tensor};
 use proptest::prelude::*;
 
@@ -132,43 +133,59 @@ proptest! {
     }
 }
 
-/// The engine reproduces the pre-refactor staged baseline bit for bit on
-/// reduced Table I generators (small-integer operands keep every f32
-/// accumulation order exact — see `tests/network_conformance.rs`).
+/// The engine reproduces both oracles bit for bit on reduced Table I
+/// generators: the `ganax_tensor` chain's outputs (small-integer operands
+/// keep every f32 accumulation order exact — see
+/// `tests/network_conformance.rs`) and the hand-chained single-step
+/// reference's counters and busy cycles.
 #[test]
-fn engine_matches_staged_baseline_on_reduced_zoo() {
+fn engine_matches_reference_chains_on_reduced_zoo() {
+    let machine = GanaxMachine::paper();
     for (m, name) in ["DCGAN", "ArtGAN", "MAGAN"].iter().enumerate() {
         let network = zoo::reduced_generator(name, 4).expect("model is in the zoo");
         let weights = conformance_weights(&network, 300 + m as u64);
-        let input = conformance_input(&network, 700 + m as u64);
-        let machine = GanaxMachine::paper();
-        let staged = machine
-            .execute_network_staged(&network, &input, &weights, 2)
-            .expect("staged baseline executes");
-        assert!(staged.plan_seconds > 0.0, "{name}: staged path must plan");
-        for threads in [1, 3] {
-            let engine = InferenceEngine::new(machine, threads);
-            let compiled = engine.compile(&network, &weights).expect("compiles");
-            let run = engine.execute(&compiled, &input).expect("executes");
-            assert_eq!(run.output, staged.output, "{name} output @ {threads}t");
-            assert_eq!(run.total_counts(), staged.total_counts(), "{name} counts");
-            assert_eq!(
-                run.total_busy_pe_cycles(),
-                staged.total_busy_pe_cycles(),
-                "{name} busy cycles"
-            );
-            assert_eq!(run.plan_seconds, 0.0, "{name}: warm run planned");
+        for seed in [700 + m as u64, 800 + m as u64] {
+            let input = conformance_input(&network, seed);
+            let tensor = reference_network_forward(&network, &input, &weights)
+                .expect("tensor chain executes");
+            let mut current = input.clone();
+            let mut counts = EventCounts::default();
+            let mut busy = 0u64;
+            for (i, layer) in network.layers().iter().enumerate() {
+                let mut out = if matches!(layer.op, LayerOp::Projection) {
+                    host_projection(layer, &current, weights.weight(i)).expect("projection")
+                } else {
+                    let single = machine
+                        .execute_layer_reference(layer, &current, weights.weight(i))
+                        .expect("single-step reference executes");
+                    counts += single.counts;
+                    busy += single.busy_pe_cycles;
+                    single.output
+                };
+                finish_layer_output(layer, &mut out, weights.bias(i));
+                current = out;
+            }
+            assert_eq!(current, tensor, "{name}: the two oracles disagree");
+            for threads in [1, 3] {
+                let engine = InferenceEngine::new(machine, threads);
+                let compiled = engine.compile(&network, &weights).expect("compiles");
+                let run = engine.execute(&compiled, &input).expect("executes");
+                assert_eq!(run.output, tensor, "{name} output @ {threads}t");
+                assert_eq!(run.total_counts(), counts, "{name} counts");
+                assert_eq!(run.total_busy_pe_cycles(), busy, "{name} busy cycles");
+                assert_eq!(run.plan_seconds, 0.0, "{name}: warm run planned");
 
-            let batch = engine
-                .execute_batch(&compiled, std::slice::from_ref(&input))
-                .expect("one-element batch executes");
-            assert_eq!(batch.outputs[0], staged.output, "{name} batch output");
+                let batch = engine
+                    .execute_batch(&compiled, std::slice::from_ref(&input))
+                    .expect("one-element batch executes");
+                assert_eq!(batch.outputs[0], tensor, "{name} batch output");
+            }
         }
     }
 }
 
 /// One-shot `execute_network` (now engine-backed) reports its compile cost
-/// in `plan_seconds`, and per-layer reports stay shaped like the baseline's.
+/// in `plan_seconds`, and reports every layer with a balance in (0, 1].
 #[test]
 fn one_shot_path_reports_plan_cost() {
     let network = zoo::reduced_generator("DCGAN", 4).expect("DCGAN is in the zoo");

@@ -6,7 +6,7 @@
 //! task-index-order reduction behind it — must make pool size invisible in
 //! every observable: outputs, busy PE cycles, `EventCounts` and work units
 //! are bit-identical at pool sizes 1, 2 and 4 on reduced-zoo networks, and
-//! the pool matches the per-layer fast path exactly.
+//! a batched pool matches one-shot execution of each element exactly.
 
 use ganax::{GanaxMachine, InferenceEngine};
 use ganax_bench::{conformance_input, conformance_weights};
@@ -29,29 +29,30 @@ fn pool_sizes_are_bit_identical_on_the_reduced_zoo() {
             .execute_batch(&compiled, &inputs)
             .expect("serial batch executes");
 
-        // The per-layer fast path is the ground truth the pool must match:
-        // same outputs per element, same aggregate counters over the batch.
+        // One-shot execution of each element is the ground truth the
+        // batched pool must match: same outputs per element, same aggregate
+        // counters over the batch.
         let machine = GanaxMachine::paper();
         let mut direct_counts = EventCounts::default();
         let mut direct_busy = 0u64;
         for (input, output) in inputs.iter().zip(&serial.outputs) {
             let direct = machine
                 .execute_network_threaded(&network, input, &weights, 1)
-                .expect("per-layer fast path executes");
+                .expect("one-shot run executes");
             assert_eq!(
                 &direct.output, output,
-                "{name}: pool output diverged from the per-layer fast path"
+                "{name}: pool output diverged from the one-shot run"
             );
             direct_counts += direct.total_counts();
             direct_busy += direct.total_busy_pe_cycles();
         }
         assert_eq!(
             serial.counts, direct_counts,
-            "{name}: pool EventCounts diverged from the per-layer fast path"
+            "{name}: pool EventCounts diverged from the one-shot runs"
         );
         assert_eq!(
             serial.busy_pe_cycles, direct_busy,
-            "{name}: pool busy cycles diverged from the per-layer fast path"
+            "{name}: pool busy cycles diverged from the one-shot runs"
         );
 
         for pool in [2usize, 4] {
