@@ -1,5 +1,6 @@
-//! Machine-focused benches: the burst-stepped fast path versus the seed
-//! single-step serial path, plus a micro-bench of the PE chunk-retire loop.
+//! Machine-focused benches: the PE's closed-form dispatch retire versus the
+//! same program single-stepped, plus the engine fast path versus the seed
+//! single-step serial path on one layer.
 //!
 //! The wall-clock comparison that feeds `BENCH_machine.json` lives in the
 //! `bench_machine` binary (it needs a JSON emitter, not Criterion's report);
@@ -15,50 +16,56 @@ use ganax_sim::{PeConfig, ProcessingEngine};
 fn bench_machine(c: &mut Criterion) {
     let mut group = c.benchmark_group("machine");
 
-    // One chunk of 8 columns x 3 taps dispatched the way the machine's fast
-    // path issues it: gathered linear operand streams, strided output, one
-    // `repeat`+`mac` pair per column, retired as a single burst.
+    // One dispatch of 8 columns x 3 taps over 2 output channels, issued the
+    // way the engine's `dispatch_group` issues it: one gathered input stream
+    // replayed per channel, the channels' weight streams back to back, a
+    // contiguous output run and virtual `repeat`+`mac` pairs, retired in one
+    // `step_burst` call.
     group.bench_function("pe_chunk_retire_8x3", |b| {
         let cols = 8u16;
         let taps = 3u16;
-        let total = cols * taps;
-        let inputs: Vec<f32> = (0..total).map(|i| i as f32 * 0.25).collect();
-        let weights: Vec<f32> = (0..total).map(|i| 1.0 - i as f32 * 0.01).collect();
+        let channels = 2u16;
+        let stream = cols * taps;
+        let inputs: Vec<f32> = (0..stream).map(|i| i as f32 * 0.25).collect();
+        let weights: Vec<f32> = (0..channels * stream)
+            .map(|i| 1.0 - i as f32 * 0.01)
+            .collect();
         let mut pe = ProcessingEngine::new(PeConfig::roomy());
         b.iter(|| {
             pe.load_input(&inputs);
             pe.load_weights(&weights);
-            pe.configure_linear(AddrGenKind::Input, 0, 1, total, 1);
-            pe.configure_linear(AddrGenKind::Weight, 0, 1, total, 1);
-            pe.configure_linear(AddrGenKind::Output, 0, 1, cols, 1);
+            pe.configure_linear(AddrGenKind::Input, 0, 1, stream, channels);
+            pe.configure_linear(AddrGenKind::Weight, 0, 1, channels * stream, 1);
+            pe.configure_linear(AddrGenKind::Output, 0, 1, channels * cols, 1);
             pe.start_all();
             pe.set_repeat(taps);
-            for _ in 0..cols {
-                pe.push_uop(ExecUop::Repeat);
-                pe.push_uop(ExecUop::Mac);
-            }
-            pe.run_until_idle_burst(1_000);
-            std::hint::black_box(pe.read_output(0))
+            pe.try_push_mac_pairs((channels * cols) as usize).unwrap();
+            let cycles = pe.step_burst(1_000);
+            assert!(pe.is_idle(), "the dispatch must retire in one call");
+            std::hint::black_box((cycles, pe.read_output(0)))
         })
     });
 
-    // The same program single-stepped: the per-cycle reference cost.
+    // The same dispatch single-stepped: the per-cycle reference cost.
     group.bench_function("pe_chunk_single_step_8x3", |b| {
         let cols = 8u16;
         let taps = 3u16;
-        let total = cols * taps;
-        let inputs: Vec<f32> = (0..total).map(|i| i as f32 * 0.25).collect();
-        let weights: Vec<f32> = (0..total).map(|i| 1.0 - i as f32 * 0.01).collect();
+        let channels = 2u16;
+        let stream = cols * taps;
+        let inputs: Vec<f32> = (0..stream).map(|i| i as f32 * 0.25).collect();
+        let weights: Vec<f32> = (0..channels * stream)
+            .map(|i| 1.0 - i as f32 * 0.01)
+            .collect();
         let mut pe = ProcessingEngine::new(PeConfig::roomy());
         b.iter(|| {
             pe.load_input(&inputs);
             pe.load_weights(&weights);
-            pe.configure_linear(AddrGenKind::Input, 0, 1, total, 1);
-            pe.configure_linear(AddrGenKind::Weight, 0, 1, total, 1);
-            pe.configure_linear(AddrGenKind::Output, 0, 1, cols, 1);
+            pe.configure_linear(AddrGenKind::Input, 0, 1, stream, channels);
+            pe.configure_linear(AddrGenKind::Weight, 0, 1, channels * stream, 1);
+            pe.configure_linear(AddrGenKind::Output, 0, 1, channels * cols, 1);
             pe.start_all();
             pe.set_repeat(taps);
-            for _ in 0..cols {
+            for _ in 0..channels * cols {
                 pe.push_uop(ExecUop::Repeat);
                 pe.push_uop(ExecUop::Mac);
             }

@@ -23,9 +23,10 @@
 //!   consequential column runs per output column, and the (flipped, for
 //!   transposed convolutions) weight rows — out of the inner loop, making the
 //!   hot path allocation-free;
-//! * **burst-stepped PEs** ([`ProcessingEngine::run_until_idle_burst`]) retire
-//!   each provably stall-free repeated-`mac` run in one call instead of one
-//!   cycle at a time;
+//! * **one closed-form dispatch shape**: every dispatch the engine issues is
+//!   a run of virtual `repeat`+`mac` pairs over one replayed input stream,
+//!   and [`ProcessingEngine::step_burst`] retires it in one call instead of
+//!   one cycle at a time; everything else single-steps;
 //! * **a multi-threaded PE-array scheduler** shards whole output rows across
 //!   the pool's worker PEs in wide slices of the plan's phase-major row order
 //!   (the Figure 5 output-row reorganization, see [`shard_for_position`]).
@@ -1127,15 +1128,18 @@ pub(crate) fn load_dispatch_weights(
 }
 
 /// Dispatches one `group × cols` program of `taps`-tap columns against the
-/// input stream resident at `input_base`, retires it as one burst, and
-/// returns the produced partial sums: `group` channel runs of `cols` words,
-/// channel-major. This is the hot dispatch body of the engine's resident-PE
-/// worker.
+/// input stream resident at `input_base`, retires it with one
+/// [`ProcessingEngine::step_burst`] call, and returns the produced partial
+/// sums: `group` channel runs of `cols` words, channel-major. This is the
+/// hot dispatch body of the engine's resident-PE worker.
+///
+/// The dispatch is always in the PE's canonical closed-form shape, so one
+/// call drains it; a PE that is not idle afterwards means the shape contract
+/// broke, and is reported rather than single-stepped.
 ///
 /// # Errors
-/// [`MachineError::Timeout`] when the PE fails to drain within the
-/// dispatch's work-derived budget, and [`MachineError::UopOverflow`] from the
-/// dispatch.
+/// [`MachineError::Timeout`] when the PE is not idle after the call, and
+/// [`MachineError::UopOverflow`] from the dispatch.
 pub(crate) fn retire_group<'a>(
     pe: &'a mut ProcessingEngine,
     taps: usize,
@@ -1145,7 +1149,7 @@ pub(crate) fn retire_group<'a>(
     layer: &Layer,
 ) -> Result<&'a [f32], MachineError> {
     dispatch_group(pe, taps, cols, group, input_base, layer)?;
-    pe.run_until_idle_burst(column_cycle_budget(taps) * (cols * group) as u64);
+    pe.step_burst(column_cycle_budget(taps) * (cols * group) as u64);
     if !pe.is_idle() {
         return Err(MachineError::Timeout {
             layer: layer.name.clone(),
@@ -1215,7 +1219,9 @@ fn dispatch_group(
 }
 
 /// The seed single-step work-unit body, preserved as the reference
-/// implementation (and the benchmark baseline).
+/// implementation (and the benchmark baseline). The output scratchpad is not
+/// cleared between units: each column program writes its word before it is
+/// read back.
 fn run_unit_single_step(
     pe: &mut ProcessingEngine,
     input_row: &[f32],
@@ -1226,7 +1232,6 @@ fn run_unit_single_step(
 ) -> Result<(u64, EventCounts), MachineError> {
     pe.load_input(input_row);
     pe.load_weights(weight_row);
-    pe.clear_output();
     let before = pe.counts();
     let busy_before = pe.busy_cycles();
     let output_words = pe.config().output_words;

@@ -136,7 +136,7 @@ impl AccessEngine {
     }
 
     /// Splits the engine into its generators, FIFOs and stall counter so a
-    /// burst-stepping PE can drain addresses and fix up bookkeeping while
+    /// burst-stepping PE can settle a whole dispatch's bookkeeping while
     /// holding disjoint borrows. Index both arrays with
     /// [`AddrGenKind::index`].
     pub(crate) fn burst_parts(

@@ -98,13 +98,6 @@ impl ExecuteEngine {
         self.current.map(|(_, n)| n).unwrap_or(0)
     }
 
-    /// The armed-but-unconsumed repeat count, if a `repeat` µop has been
-    /// issued since the last repeatable µop (used by burst-stepping look-ahead
-    /// to predict the next µop's repetition count).
-    pub(crate) fn pending_repeat(&self) -> Option<u32> {
-        self.pending_repeat
-    }
-
     /// The value the next `repeat` µop will arm.
     pub(crate) fn repeat_register(&self) -> u16 {
         self.repeat_register
@@ -204,34 +197,6 @@ impl ExecuteEngine {
         self.alu_ops += alu_ops;
         self.pending_repeat = None;
         self.accumulator = 0.0;
-    }
-
-    /// Retires `n` repetitions of the in-flight `mac` at once. `accumulator`
-    /// is the value after the caller applied the `n` fused multiply-adds in
-    /// single-step order (so the result is bit-identical to stepping).
-    ///
-    /// Returns `Some(value)` when the burst consumed the last repetition (the
-    /// value must be written to the output buffer), `None` otherwise.
-    ///
-    /// # Panics
-    /// Panics if the in-flight µop is not a `mac` with at least `n`
-    /// repetitions remaining.
-    pub(crate) fn finish_mac_burst(&mut self, accumulator: f32, n: u32) -> Option<f32> {
-        let (uop, remaining) = self.current.expect("mac burst with no uop in flight");
-        assert!(
-            matches!(uop, ExecUop::Mac) && remaining >= n && n > 0,
-            "mac burst preconditions violated"
-        );
-        self.alu_ops += n as u64;
-        if remaining == n {
-            self.current = None;
-            self.accumulator = 0.0;
-            Some(accumulator)
-        } else {
-            self.current = Some((uop, remaining - n));
-            self.accumulator = accumulator;
-            None
-        }
     }
 }
 

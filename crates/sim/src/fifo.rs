@@ -311,9 +311,9 @@ impl UopFifo {
         Ok(())
     }
 
-    /// The whole queue as untouched uniform `repeat`+`mac` pairs, if that is
-    /// what it holds — the burst-stepping PE retires such a queue per dispatch
-    /// without walking it.
+    /// The whole queue as untouched virtual `repeat`+`mac` pairs, if that is
+    /// what it holds — the only queue the burst-stepping PE retires as one
+    /// dispatch; any other queue single-steps.
     pub(crate) fn uniform_pairs(&self) -> Option<usize> {
         (self.inner.items.is_empty() && self.virtual_uops > 0 && self.virtual_uops % 2 == 0)
             .then_some(self.virtual_uops / 2)
@@ -362,8 +362,8 @@ impl UopFifo {
         self.virtual_uops = 0;
     }
 
-    /// Iterates the queued µops oldest-first without consuming them (the
-    /// burst-stepping PE peeks ahead to recognize a dispatchable program).
+    /// Iterates the queued µops oldest-first without consuming them (how
+    /// virtual and materialized queues compare equal).
     pub(crate) fn iter(&self) -> impl Iterator<Item = &ExecUop> {
         let total = self.virtual_uops;
         self.inner.items.iter().chain((0..total).map(move |i| {
@@ -373,20 +373,6 @@ impl UopFifo {
                 &MAC_UOP
             }
         }))
-    }
-
-    /// Pops the oldest `n` µops as one drain — the burst-stepping PE fetches
-    /// a whole proven program queue at once. Counted like `n` pops.
-    /// Materializes any virtual pairs first (the uniform fast path uses
-    /// [`UopFifo::consume_front`] instead and never lands here).
-    pub(crate) fn drain_front(
-        &mut self,
-        n: usize,
-    ) -> std::collections::vec_deque::Drain<'_, ExecUop> {
-        if self.virtual_uops > 0 {
-            self.materialize();
-        }
-        self.inner.drain_front(n)
     }
 
     /// Removes the oldest `n` µops without yielding them (counted like `n`
@@ -550,18 +536,5 @@ mod tests {
         assert_eq!(virt.len(), 2);
         assert_eq!(virt.peek(), Some(ExecUop::Repeat));
         assert_eq!(virt.uniform_pairs(), Some(1));
-    }
-
-    #[test]
-    fn drain_front_materializes_virtual_pairs() {
-        let mut fifo = UopFifo::new(16);
-        fifo.try_push_mac_pairs(4).unwrap();
-        let drained: Vec<ExecUop> = fifo.drain_front(3).collect();
-        assert_eq!(
-            drained,
-            vec![ExecUop::Repeat, ExecUop::Mac, ExecUop::Repeat]
-        );
-        assert_eq!(fifo.len(), 5);
-        assert_eq!(fifo.peek(), Some(ExecUop::Mac));
     }
 }

@@ -160,11 +160,6 @@ impl ProcessingEngine {
         self.weights.fill_with(len, f);
     }
 
-    /// Clears the output scratchpad (between output rows).
-    pub fn clear_output(&mut self) {
-        self.output.reset();
-    }
-
     /// Reads an output word without charging an access (result draining).
     pub fn read_output(&mut self, addr: u16) -> f32 {
         self.output.peek(addr)
@@ -259,8 +254,8 @@ impl ProcessingEngine {
     /// Pushes `pairs` uniform `repeat`+`mac` programs with a single capacity
     /// check. The µop FIFO holds them virtually (a pair count instead of
     /// `2 × pairs` queue entries), which both skips the per-µop queue traffic
-    /// and lets [`ProcessingEngine::step_burst`] recognize the whole dispatch
-    /// without walking the queue. Observationally identical to
+    /// and is the only queue [`ProcessingEngine::step_burst`] retires as one
+    /// dispatch; materialized µops single-step. Observationally identical to
     /// [`ProcessingEngine::try_push_uops`] of the same sequence.
     ///
     /// # Errors
@@ -357,9 +352,10 @@ impl ProcessingEngine {
         stepped
     }
 
-    /// Like [`ProcessingEngine::run_until_idle`], but retires repeated `mac`
-    /// runs through [`ProcessingEngine::step_burst`]. Final state, outputs and
-    /// every counter are bit-identical to the single-step path.
+    /// Like [`ProcessingEngine::run_until_idle`], but retires each
+    /// canonical dispatch through [`ProcessingEngine::step_burst`]. Final
+    /// state, outputs and every counter are bit-identical to the single-step
+    /// path.
     pub fn run_until_idle_burst(&mut self, max_cycles: u64) -> u64 {
         let mut stepped = 0;
         while stepped < max_cycles && !self.is_idle() {
@@ -375,134 +371,28 @@ impl ProcessingEngine {
     /// Advances the PE by up to `budget` cycles in one call, returning how
     /// many cycles elapsed.
     ///
-    /// When the in-flight µop is a repeated `mac` — or the µop FIFO's next
-    /// fetch would put one in flight — and the address FIFOs plus their index
-    /// generators can prove `n` stall-free cycles, the whole run of `n`
-    /// repetitions (including the fetch cycle) retires at once — with
-    /// outputs, `cycles()`, `busy_cycles()`, [`EventCounts`] and
-    /// FIFO/generator/stall bookkeeping bit-identical to calling
-    /// [`ProcessingEngine::step`] `n` times. In every other situation it falls
-    /// back to a single [`ProcessingEngine::step`].
+    /// There is one multi-cycle path. When the execute µ-engine is idle, the
+    /// µop FIFO holds only virtual `repeat`+`mac` pairs
+    /// ([`ProcessingEngine::try_push_mac_pairs`]), and the generators are in
+    /// the machine's canonical dispatch shape — empty address FIFOs, one
+    /// step-1 `cols × repeats` input stream replayed once per channel,
+    /// step-1 weights and a contiguous output run, each supplying the whole
+    /// dispatch — its `pairs × repeats` cycles retire at once (if the budget
+    /// covers them), with outputs, `cycles()`, `busy_cycles()`,
+    /// [`EventCounts`] and FIFO/generator/stall bookkeeping bit-identical to
+    /// calling [`ProcessingEngine::step`] that many times. Every other state
+    /// takes a single [`ProcessingEngine::step`].
     pub fn step_burst(&mut self, budget: u64) -> u64 {
         if budget == 0 || self.is_idle() {
             return 0;
         }
-        if self.execute.is_busy() {
-            if matches!(self.execute.current_uop(), Some(ExecUop::Mac)) {
-                let repeats = self.execute.remaining_repeats() as u64;
-                let n = self.provable_mac_cycles(repeats, budget);
-                if n >= 2 {
-                    self.burst_mac(n);
-                    return n;
+        if !self.execute.is_busy() {
+            if let Some(pairs) = self.uop_fifo.uniform_pairs() {
+                let pairs = pairs as u64;
+                let repeats = self.execute.repeat_register() as u64;
+                if pairs * repeats <= budget && self.retire_uniform_dispatch(pairs, repeats) {
+                    return pairs * repeats;
                 }
-            }
-            self.step();
-            return 1;
-        }
-        // Fetch mode: peek the µop queue for a run of `repeat`+`mac` programs
-        // (mirroring `step`'s fetch loop without consuming anything) and count
-        // how many of them are provably stall-free end to end. Operand supply
-        // is one address per cycle across program boundaries; program `j`'s
-        // write-back needs a `j`-th output address by its final cycle.
-        let supply = budget
-            .min(self.operand_supply(AddrGenKind::Input, budget))
-            .min(self.operand_supply(AddrGenKind::Weight, budget));
-        let out_queued = self.access.fifo(AddrGenKind::Output).len() as u64;
-        let out_gen_supply = self
-            .access
-            .generator(AddrGenKind::Output)
-            .remaining_addresses_up_to(budget.saturating_add(1));
-        // Pair fast-scan: a queue beginning with `repeat`+`mac` pairs (the
-        // machine's dispatch shape) has uniform per-program repeats — the
-        // repeat register — so the provable program count collapses to two
-        // divisions (supply / repeats, and the output-address pool) plus a
-        // tag check per pair.
-        let repeats = (self.execute.repeat_register() as u64).max(1);
-        let pair_cap = (supply / repeats).min(out_queued + out_gen_supply);
-        if pair_cap >= 1 {
-            // A virtually-held queue already knows it is all pairs; a
-            // materialized one is scanned tag by tag.
-            let pairs = match self.uop_fifo.uniform_pairs() {
-                Some(queued) => (queued as u64).min(pair_cap),
-                None => {
-                    let mut pairs = 0u64;
-                    let mut queue = self.uop_fifo.iter();
-                    while pairs < pair_cap {
-                        match (queue.next(), queue.next()) {
-                            (Some(ExecUop::Repeat), Some(ExecUop::Mac)) => pairs += 1,
-                            _ => break,
-                        }
-                    }
-                    pairs
-                }
-            };
-            if pairs >= 1 {
-                let total = pairs * repeats;
-                // Per-dispatch retire: when the dispatch matches the
-                // machine's canonical shape the whole thing settles in
-                // closed form; anything else takes the per-program path.
-                if !self.retire_uniform_dispatch(pairs, repeats) {
-                    self.retire_mac_programs(pairs, total, 2 * pairs as usize, Some(repeats));
-                }
-                return total;
-            }
-        }
-        let mut pending = self.execute.pending_repeat();
-        let mut programs = 0u64;
-        let mut total = 0u64;
-        let mut first_repeats: Option<u64> = None;
-        let mut uniform = true;
-        let mut walked = 0usize;
-        let mut consumed = 0usize;
-        for uop in self.uop_fifo.iter() {
-            walked += 1;
-            match uop {
-                ExecUop::Repeat => pending = Some(self.execute.repeat_register() as u32),
-                ExecUop::Nop => {}
-                ExecUop::Mac => {
-                    let repeats = pending.take().unwrap_or(1).max(1) as u64;
-                    match first_repeats {
-                        None => first_repeats = Some(repeats),
-                        Some(first) => uniform &= repeats == first,
-                    }
-                    let cumulative = total + repeats;
-                    // Output-FIFO full-stalls never starve the write-back (a
-                    // full FIFO has addresses queued), so availability is
-                    // exactly a supply question.
-                    if cumulative > supply
-                        || out_queued + out_gen_supply.min(cumulative) < programs + 1
-                    {
-                        break;
-                    }
-                    programs += 1;
-                    total = cumulative;
-                    consumed = walked;
-                }
-                _ => break,
-            }
-        }
-        if programs >= 1 {
-            // A uniform queue of plain pairs retires without re-deriving each
-            // program's repeat count.
-            let uniform_repeats = (uniform && consumed == 2 * programs as usize)
-                .then(|| first_repeats.expect("programs imply a first repeat count"));
-            self.retire_mac_programs(programs, total, consumed, uniform_repeats);
-            return total;
-        }
-        // Operands or output starve even the first program: burst the stall-free
-        // prefix of its repetitions, if any.
-        if let Some(repeats) = first_repeats {
-            let n = self.provable_mac_cycles(repeats, budget);
-            if n >= 1 {
-                while let Some(uop) = self.uop_fifo.pop() {
-                    self.uop_fetches += 1;
-                    if self.execute.issue(uop) {
-                        break;
-                    }
-                }
-                debug_assert!(matches!(self.execute.current_uop(), Some(ExecUop::Mac)));
-                self.burst_mac(n);
-                return n;
             }
         }
         self.step();
@@ -512,104 +402,68 @@ impl ProcessingEngine {
     /// Retires `pairs` uniform `repeat`+`mac` programs of `repeats`
     /// repetitions each as **one dispatch**, settling FIFO occupancy,
     /// index-generator state, cycle counts and every [`EventCounts`] category
-    /// once in closed form instead of once per program. Returns `false`
-    /// (touching nothing) when the dispatch is not windowed, and the caller
-    /// falls back to the per-program [`ProcessingEngine::retire_mac_programs`].
-    ///
-    /// The windowed shape, proven before any state moves:
+    /// once in closed form instead of once per cycle. Returns `false`
+    /// (touching nothing) unless the dispatch has the canonical shape
+    /// `dispatch_group` issues, proven before any state moves:
     /// * all three address FIFOs empty — every address comes straight off its
     ///   generator, so FIFO traffic is pure pass-through accounting;
-    /// * input and weight generators in a step-1 wrap window (guarded against
-    ///   `u16` wraparound) — operand streams reduce to slice windows;
-    /// * the output generator in a step-1 wrap window with exactly one
-    ///   remaining address per program — write-backs land on a contiguous
-    ///   (or wrapping) slice and the output FIFO never materializes.
+    /// * the input generator at the start of a step-1 `cols × repeats`
+    ///   stream with at least `pairs × repeats` addresses left — the stream
+    ///   is replayed once per channel of a `pairs / cols` channel group;
+    /// * the weight generator walking `pairs × repeats` step-1 words without
+    ///   wrapping;
+    /// * the output generator with exactly `pairs` step-1 addresses left in
+    ///   one contiguous run — the output FIFO never materializes.
     ///
-    /// The caller has already proven operand supply covers
-    /// `pairs × repeats` repetitions (the `pair_cap` bound), which with empty
-    /// FIFOs means each operand generator supplies the whole dispatch.
-    ///
-    /// The arithmetic then takes one of two paths: the machine's canonical
-    /// dispatch through [`retire_canonical`], any other window through the
-    /// run-splitting [`accumulate_windows`].
+    /// Windows that would wrap the `u16` address space are refused, since
+    /// only `tick` reproduces that wraparound. The arithmetic runs in
+    /// [`retire_canonical`].
     fn retire_uniform_dispatch(&mut self, pairs: u64, repeats: u64) -> bool {
         let in_idx = AddrGenKind::Input.index();
         let wt_idx = AddrGenKind::Weight.index();
         let out_idx = AddrGenKind::Output.index();
         let total = pairs * repeats;
         let (gens, fifos, stall_cycles) = self.access.burst_parts();
-        if !fifos[in_idx].is_empty() || !fifos[wt_idx].is_empty() || !fifos[out_idx].is_empty() {
+        if fifos.iter().any(|fifo| !fifo.is_empty()) {
             return false;
         }
-        let (Some(mut input), Some(mut weight)) =
-            (Window::of(&gens[in_idx]), Window::of(&gens[wt_idx]))
-        else {
+        let (Some(input), Some(weight), Some(output)) = (
+            Window::of(&gens[in_idx]),
+            Window::of(&gens[wt_idx]),
+            Window::of(&gens[out_idx]),
+        ) else {
             return false;
         };
-        let out_cap = fifos[out_idx].capacity() as u64;
-        let out_base = gens[out_idx].offset() as u64;
-        let Some((out_cur, out_end)) = gens[out_idx]
-            .burst_wrap_window()
-            .filter(|&(_, end)| out_base + end as u64 <= u16::MAX as u64 + 1)
-            .and_then(|(current, end)| {
-                let supply = gens[out_idx].remaining_addresses_up_to(total + out_cap + 1);
-                (supply == pairs).then_some((current as u64, end as u64))
-            })
-        else {
-            return false;
-        };
-
-        // Accumulate each program over the operand slice windows — same
-        // operation and order as `ExecuteEngine::execute`, so every f32
-        // result is bit-identical — and store it straight into the output
-        // scratchpad at the address the generator would have produced. In
-        // fetch mode the accumulator holds the `0.0` the last completed
-        // program left, so every program starts from `0.0`.
-        let in_data = self.input.contents();
-        let wt_data = self.weights.contents();
-        let out_data = self.output.contents_mut();
-        debug_assert_eq!(self.execute.accumulator().to_bits(), 0);
         let r = repeats as usize;
         let programs = pairs as usize;
-        let contiguous = (out_cur + pairs <= out_end).then(|| (out_base + out_cur) as usize);
-        // The machine's dispatch shape: the input window is one `cols × r`
-        // stream starting at its base and replayed once per channel, the
-        // weights walk `programs × r` words without wrapping, and the output
-        // run is contiguous — `retire_canonical` takes it as a nested
-        // channel × column loop with no window arithmetic at all.
         let stream = input.end - input.base;
-        let canonical = contiguous.filter(|_| {
-            input.pos == input.base
-                && stream.is_multiple_of(r)
-                && programs.is_multiple_of(stream / r)
-                && weight.pos + programs * r <= weight.end
-        });
-        if let Some(out0) = canonical {
-            retire_canonical(
-                r,
-                &in_data[input.base..input.end],
-                &wt_data[weight.pos..weight.pos + programs * r],
-                &mut out_data[out0..out0 + programs],
-            );
-        } else {
-            // Any other window (mid-stream resume, wrapping weights or
-            // output run): the general per-program loop splits runs at
-            // every wrap.
-            for j in 0..pairs {
-                let acc = accumulate_windows(0.0, r, in_data, &mut input, wt_data, &mut weight);
-                let addr = match contiguous {
-                    Some(abs) => abs + j as usize,
-                    None => (out_base + (out_cur + j) % out_end) as usize,
-                };
-                out_data[addr] = acc;
-            }
+        let canonical = input.pos == input.base
+            && stream.is_multiple_of(r)
+            && programs.is_multiple_of(stream / r)
+            && gens[in_idx].remaining_addresses_up_to(total) == total
+            && weight.pos + programs * r <= weight.end
+            && output.pos + programs <= output.end
+            && gens[out_idx].remaining_addresses_up_to(pairs + 1) == pairs;
+        if !canonical {
+            return false;
         }
 
-        // Settle once per dispatch what the per-program path settles once per
-        // program: µop fetches, operand pass-through and generator advances,
+        // In fetch mode the accumulator holds the `0.0` the last completed
+        // program left, so every program starts from `0.0`.
+        debug_assert_eq!(self.execute.accumulator().to_bits(), 0);
+        retire_canonical(
+            r,
+            &self.input.contents()[input.base..input.end],
+            &self.weights.contents()[weight.pos..weight.pos + programs * r],
+            &mut self.output.contents_mut()[output.pos..output.pos + programs],
+        );
+
+        // Settle once per dispatch what single-stepping settles once per
+        // cycle: µop fetches, operand pass-through and generator advances,
         // output-generator stalls against the never-popped FIFO, scratchpad
         // access counters, and the execute µ-engine's program count.
-        self.uop_fifo.consume_front(2 * pairs as usize);
+        let out_cap = fifos[out_idx].capacity() as u64;
+        self.uop_fifo.consume_front(2 * programs);
         self.uop_fetches += 2 * pairs;
         fifos[in_idx].note_passthrough(total);
         gens[in_idx].advance_wrapping(total);
@@ -625,322 +479,6 @@ impl ProcessingEngine {
         self.cycles += total;
         self.busy_cycles += total;
         true
-    }
-
-    /// Retires `programs` consecutive `repeat`+`mac` programs (`total`
-    /// repetitions in all, `consumed` µops from the FIFO) in one call,
-    /// replicating the single-step path's per-cycle bookkeeping: µop-fetch
-    /// accounting per program, one operand address per cycle (FIFO first,
-    /// then generator pass-through), exact output-generator tick/stall
-    /// interleaving, and a write-back per program.
-    ///
-    /// When an operand side starts with an empty FIFO and a generator in a
-    /// pure linear final round — the machine's gathered-stream dispatch —
-    /// its addresses reduce to slice windows and the accumulation runs as a
-    /// tight dot-product loop, with the generator state settled once at the
-    /// end. Any other shape takes the general per-cycle path.
-    fn retire_mac_programs(
-        &mut self,
-        programs: u64,
-        total: u64,
-        consumed: usize,
-        uniform_repeats: Option<u64>,
-    ) {
-        let in_idx = AddrGenKind::Input.index();
-        let wt_idx = AddrGenKind::Weight.index();
-        let out_idx = AddrGenKind::Output.index();
-        let repeat_register = self.execute.repeat_register();
-        let mut pending = self.execute.pending_repeat();
-        let mut acc = self.execute.accumulator();
-        let (gens, fifos, stall_cycles) = self.access.burst_parts();
-
-        // Operand prologue — a full FIFO whose generator still runs stalls it
-        // for exactly the first cycle (the per-cycle pop keeps a slot free
-        // afterwards), and generators produce one address per non-stalled
-        // cycle until exhausted.
-        let mut produced = [0u64; 2];
-        let mut take = [0u64; 2];
-        for (slot, idx) in [in_idx, wt_idx].into_iter().enumerate() {
-            let stall = u64::from(gens[idx].is_running() && fifos[idx].is_full());
-            *stall_cycles += stall;
-            produced[slot] = gens[idx].remaining_addresses_up_to(total - stall);
-            take[slot] = (fifos[idx].len() as u64).min(total);
-        }
-        // Step-1 wrap windows let the accumulation loop read slice windows
-        // (splitting at the wrap boundary). The windowed loop engages only
-        // when both sides qualify — and their FIFOs are empty, so every
-        // address comes straight off the generator; otherwise the general
-        // per-cycle path ticks both generators.
-        let mut windows = match (Window::of(&gens[in_idx]), Window::of(&gens[wt_idx])) {
-            (Some(input), Some(weight)) if take == [0, 0] => Some((input, weight)),
-            _ => None,
-        };
-
-        // Output fast path: FIFO empty, wrap-window generator, and exactly
-        // one address produced per program — then program `j` pops address
-        // `(current + j) mod end` and the FIFO never materializes; its
-        // occupancy, the generator's full-FIFO stalls and the pass-through
-        // counters reduce to integer bookkeeping.
-        let out_cap = fifos[out_idx].capacity() as u64;
-        let out_base = gens[out_idx].offset() as u64;
-        let out_fast = if fifos[out_idx].is_empty() {
-            gens[out_idx]
-                .burst_wrap_window()
-                .filter(|&(_, end)| out_base + end as u64 <= u16::MAX as u64 + 1)
-                .and_then(|(current, end)| {
-                    let supply = gens[out_idx].remaining_addresses_up_to(total + out_cap + 1);
-                    (supply == programs).then_some((current as u64, end as u64))
-                })
-        } else {
-            None
-        };
-        let mut out_len = 0u64;
-        let mut out_produced = 0u64;
-
-        let in_data = self.input.contents();
-        let wt_data = self.weights.contents();
-        let mut taken = [0u64; 2];
-        let mut done = 0u64;
-        let mut popped = 0u64;
-        // Fetch the whole proven program queue at once; with a uniform queue
-        // the per-program repeat counts need no re-derivation and the drain
-        // drops in bulk.
-        let mut uops = self.uop_fifo.drain_front(consumed);
-        if uniform_repeats.is_some() {
-            drop(uops);
-            uops = self.uop_fifo.drain_front(0);
-        }
-        self.uop_fetches += consumed as u64;
-        for _ in 0..programs {
-            // Fetch — the walk already proved this prefix issues a `mac`.
-            let repeats = match uniform_repeats {
-                Some(repeats) => repeats,
-                None => loop {
-                    match uops.next().expect("walk counted the drained µops") {
-                        ExecUop::Repeat => pending = Some(repeat_register as u32),
-                        ExecUop::Nop => {}
-                        ExecUop::Mac => break pending.take().unwrap_or(1).max(1) as u64,
-                        other => unreachable!("walk admitted non-program µop {other:?}"),
-                    }
-                },
-            };
-
-            // Accumulate `repeats` operand pairs — same operation and order
-            // as `ExecuteEngine::execute`, so the f32 result is bit-identical.
-            match &mut windows {
-                Some((input, weight)) => {
-                    acc =
-                        accumulate_windows(acc, repeats as usize, in_data, input, wt_data, weight);
-                }
-                None => {
-                    for _ in 0..repeats {
-                        let ia = if taken[0] < take[0] {
-                            taken[0] += 1;
-                            fifos[in_idx].pop().expect("input fifo length checked")
-                        } else {
-                            gens[in_idx].tick().expect("input supply proved")
-                        };
-                        let wa = if taken[1] < take[1] {
-                            taken[1] += 1;
-                            fifos[wt_idx].pop().expect("weight fifo length checked")
-                        } else {
-                            gens[wt_idx].tick().expect("weight supply proved")
-                        };
-                        acc += in_data[ia as usize] * wt_data[wa as usize];
-                    }
-                }
-            }
-            done += repeats;
-
-            // Output side, closed form per program: the generator pushes
-            // until the FIFO fills or it exhausts; every remaining cycle of a
-            // running generator against a full FIFO is a stall — exactly the
-            // per-cycle tick semantics.
-            let out_addr = match out_fast {
-                Some((current, end)) => {
-                    let pushes = repeats.min(out_cap - out_len).min(programs - out_produced);
-                    if programs - out_produced > pushes {
-                        *stall_cycles += repeats - pushes;
-                    }
-                    out_len += pushes;
-                    out_produced += pushes;
-                    debug_assert!(out_len >= 1, "output availability proved");
-                    out_len -= 1;
-                    let addr = (out_base + (current + popped) % end) as u16;
-                    popped += 1;
-                    addr
-                }
-                None => {
-                    let mut pushed = 0u64;
-                    while pushed < repeats
-                        && !fifos[out_idx].is_full()
-                        && gens[out_idx].is_running()
-                    {
-                        let addr = gens[out_idx].tick().expect("running generator produces");
-                        fifos[out_idx].push(addr).expect("fullness checked");
-                        pushed += 1;
-                    }
-                    if gens[out_idx].is_running() {
-                        *stall_cycles += repeats - pushed;
-                    }
-                    fifos[out_idx].pop().expect("output availability proved")
-                }
-            };
-            self.output.write(out_addr, acc);
-            acc = 0.0;
-        }
-        debug_assert_eq!(done, total);
-        debug_assert!(uops.next().is_none());
-        drop(uops);
-        if out_fast.is_some() {
-            debug_assert!(out_len == 0 && out_produced == programs);
-            fifos[out_idx].note_passthrough(programs);
-            gens[out_idx].advance_wrapping(programs);
-        }
-
-        // Operand epilogue: pass-through accounting, generator state and
-        // surplus spill into the FIFOs, as the single-step path would have
-        // left them.
-        for (slot, idx) in [in_idx, wt_idx].into_iter().enumerate() {
-            if windows.is_some() {
-                // Wrap window: everything came straight off the generator.
-                fifos[idx].note_passthrough(total);
-                gens[idx].advance_wrapping(total);
-                continue;
-            }
-            let direct = total - take[slot];
-            fifos[idx].note_passthrough(direct);
-            for _ in 0..produced[slot] - direct {
-                let addr = gens[idx].tick().expect("surplus production counted");
-                fifos[idx]
-                    .push(addr)
-                    .expect("surplus fits: the single-step path never overflows");
-            }
-        }
-        self.execute.settle_mac_programs(total);
-        self.input.charge_reads(total);
-        self.weights.charge_reads(total);
-        self.cycles += total;
-        self.busy_cycles += total;
-    }
-
-    /// Number of cycles (capped at `budget`) for which a `mac` with `repeats`
-    /// repetitions left provably executes without a stall.
-    fn provable_mac_cycles(&self, repeats: u64, budget: u64) -> u64 {
-        let limit = repeats.min(budget);
-        let mut n = limit
-            .min(self.operand_supply(AddrGenKind::Input, limit))
-            .min(self.operand_supply(AddrGenKind::Weight, limit));
-        // The write-back on the last repetition additionally needs an output
-        // address by cycle `n`; without one the single-step path would stall
-        // there, so the burst stops one repetition short.
-        if n == repeats && !self.output_address_available() {
-            n -= 1;
-        }
-        n
-    }
-
-    /// Addresses provably deliverable for `kind` over the next `limit`
-    /// stall-free cycles: what is queued plus what its generator still emits.
-    fn operand_supply(&self, kind: AddrGenKind, limit: u64) -> u64 {
-        let fifo = self.access.fifo(kind);
-        let gen = self.access.generator(kind);
-        fifo.len() as u64 + gen.remaining_addresses_up_to(limit)
-    }
-
-    /// Whether an output address is already queued or will be pushed on the
-    /// first burst cycle.
-    fn output_address_available(&self) -> bool {
-        let fifo = self.access.fifo(AddrGenKind::Output);
-        !fifo.is_empty()
-            || (self.access.generator(AddrGenKind::Output).is_running() && !fifo.is_full())
-    }
-
-    /// Retires `n` provably stall-free repetitions of the in-flight `mac`,
-    /// replicating the single-step path's bookkeeping exactly:
-    ///
-    /// * operand addresses drain oldest-first — queued FIFO entries, then
-    ///   generator output handed straight to the ALU (counted as FIFO
-    ///   pass-through);
-    /// * generators that outrun consumption spill their surplus into the
-    ///   FIFOs;
-    /// * a full operand FIFO whose generator is still running stalls it for
-    ///   exactly the first cycle, and the un-popped output FIFO accumulates
-    ///   stalls once it fills — both are charged without simulating them.
-    fn burst_mac(&mut self, n: u64) {
-        let repeats = self.execute.remaining_repeats() as u64;
-        debug_assert!(n >= 1 && n <= repeats);
-        let completes = n == repeats;
-        let mut acc = self.execute.accumulator();
-
-        let in_idx = AddrGenKind::Input.index();
-        let wt_idx = AddrGenKind::Weight.index();
-        let out_idx = AddrGenKind::Output.index();
-        let (gens, fifos, stall_cycles) = self.access.burst_parts();
-
-        // First-cycle stall of a full operand FIFO (the pop each cycle keeps
-        // one slot free afterwards); generators produce one address per
-        // non-stalled cycle until they run out.
-        let mut produced = [0u64; 2];
-        for (slot, idx) in [in_idx, wt_idx].into_iter().enumerate() {
-            let stall = u64::from(gens[idx].is_running() && fifos[idx].is_full());
-            *stall_cycles += stall;
-            produced[slot] = gens[idx].remaining_addresses_up_to(n - stall);
-        }
-
-        let in_take = (fifos[in_idx].len() as u64).min(n);
-        let wt_take = (fifos[wt_idx].len() as u64).min(n);
-        for k in 0..n {
-            let ia = if k < in_take {
-                fifos[in_idx].pop().expect("input fifo length checked")
-            } else {
-                gens[in_idx].tick().expect("input supply proved")
-            };
-            let wa = if k < wt_take {
-                fifos[wt_idx].pop().expect("weight fifo length checked")
-            } else {
-                gens[wt_idx].tick().expect("weight supply proved")
-            };
-            let a = self.input.read(ia);
-            let b = self.weights.read(wa);
-            // Same operation and order as `ExecuteEngine::execute`, so the
-            // f32 accumulation is bit-identical.
-            acc += a * b;
-        }
-        fifos[in_idx].note_passthrough(n - in_take);
-        fifos[wt_idx].note_passthrough(n - wt_take);
-        for (slot, idx) in [in_idx, wt_idx].into_iter().enumerate() {
-            let direct = n - [in_take, wt_take][slot];
-            for _ in 0..produced[slot] - direct {
-                let addr = gens[idx].tick().expect("surplus production counted");
-                fifos[idx]
-                    .push(addr)
-                    .expect("surplus fits: the single-step path never overflows");
-            }
-        }
-
-        // Output side: nothing pops before the final repetition, so the
-        // generator pushes until the FIFO fills and stalls from then on.
-        let out_room = (fifos[out_idx].capacity() - fifos[out_idx].len()) as u64;
-        let out_remaining = gens[out_idx].remaining_addresses_up_to(n + out_room + 1);
-        for _ in 0..out_remaining.min(out_room).min(n) {
-            let addr = gens[out_idx].tick().expect("output production counted");
-            fifos[out_idx].push(addr).expect("output room checked");
-        }
-        if out_remaining > out_room {
-            *stall_cycles += n.saturating_sub(out_room);
-        }
-
-        self.cycles += n;
-        self.busy_cycles += n;
-        let result = self.execute.finish_mac_burst(acc, n as u32);
-        if completes {
-            let value = result.expect("final repetition produces the accumulated value");
-            let out_addr = fifos[out_idx].pop().expect("output availability proved");
-            self.output.write(out_addr, value);
-        } else {
-            debug_assert!(result.is_none());
-        }
     }
 
     /// Total cycles stepped.
@@ -973,9 +511,9 @@ impl ProcessingEngine {
     }
 }
 
-/// A step-1 operand window in absolute scratchpad positions: the cursor
-/// walks `pos..end` and wraps back to `base`, mirroring the index
-/// generator's `offset + (pos % end)`.
+/// A step-1 generator window in absolute scratchpad positions: the
+/// generator's next address is `pos`, and it walks up to `end` before
+/// wrapping back to `base` (its constant `offset`).
 #[derive(Debug, Clone, Copy)]
 struct Window {
     pos: usize,
@@ -984,11 +522,11 @@ struct Window {
 }
 
 impl Window {
-    /// The step-1 wrap window of a running operand generator, if it has
-    /// one. The generator's constant `offset` shifts the whole window (the
-    /// engine keeps several gathered streams resident and addresses one via
+    /// The step-1 wrap window of a running generator, if it has one. The
+    /// generator's constant `offset` shifts the whole window (the engine
+    /// keeps several gathered streams resident and addresses one via
     /// `offset`); windows that would wrap the `u16` address space are
-    /// refused, since only `tick` reproduces that wraparound.
+    /// refused.
     fn of(gen: &StridedIndexGenerator) -> Option<Self> {
         let base = gen.offset() as usize;
         gen.burst_wrap_window()
@@ -999,40 +537,6 @@ impl Window {
                 base,
             })
     }
-
-    /// Advances the cursor by `run` words, which must not cross `end`.
-    fn advance(&mut self, run: usize) {
-        self.pos += run;
-        if self.pos == self.end {
-            self.pos = self.base;
-        }
-    }
-}
-
-/// Adds `repeats` operand products to `acc`, reading both operand windows
-/// in runs split at every wrap — the same operation and order as
-/// `ExecuteEngine::execute`, so the f32 result is bit-identical.
-fn accumulate_windows(
-    mut acc: f32,
-    repeats: usize,
-    in_data: &[f32],
-    input: &mut Window,
-    wt_data: &[f32],
-    weight: &mut Window,
-) -> f32 {
-    let mut left = repeats;
-    while left > 0 {
-        let run = left.min(input.end - input.pos).min(weight.end - weight.pos);
-        let lhs = &in_data[input.pos..input.pos + run];
-        let rhs = &wt_data[weight.pos..weight.pos + run];
-        for (a, b) in lhs.iter().zip(rhs) {
-            acc += a * b;
-        }
-        input.advance(run);
-        weight.advance(run);
-        left -= run;
-    }
-    acc
 }
 
 /// Retires one canonical dispatch of `r`-tap programs:
@@ -1321,9 +825,9 @@ mod tests {
         );
     }
 
-    /// The per-program output bookkeeping of `retire_mac_programs`'
-    /// fast-output branch, replicated verbatim as the oracle for the
-    /// closed-form `uniform_output_stalls`.
+    /// Per-program output bookkeeping (the generator pushes until the FIFO
+    /// fills, each write-back pops one entry), replayed program by program as
+    /// the oracle for the closed-form `uniform_output_stalls`.
     fn direct_output_stalls(programs: u64, repeats: u64, cap: u64) -> u64 {
         let mut stalls = 0u64;
         let mut len = 0u64;
@@ -1525,8 +1029,8 @@ mod tests {
             let total = cols * taps;
             // `undersupply` starves the tail of the operand stream to cover
             // partial retirement and mid-queue stalls; `in_rounds` replays a
-            // shortened input stream (the machine's repeated-stream dispatch),
-            // exercising the wrap-window fast path across round boundaries.
+            // shortened input stream (the machine's repeated-stream dispatch)
+            // across round boundaries.
             let operand_end = total.saturating_sub(undersupply).max(1);
             let in_end = operand_end.div_ceil(in_rounds).max(1);
             let config = PeConfig {
@@ -1563,7 +1067,7 @@ mod tests {
         /// Offset-shifted operand windows — the inference engine keeps several
         /// gathered streams resident in one scratchpad and selects one via the
         /// generator's `offset` register — retire identically to single
-        /// stepping, for both in-flight bursts and whole queued programs.
+        /// stepping.
         #[test]
         fn prop_offset_windows_equal_single_step(
             cols in 1u16..7,
@@ -1613,9 +1117,8 @@ mod tests {
         /// Virtually-pushed uniform dispatches (`try_push_mac_pairs`) retire
         /// bit-identically to a single-stepped PE fed the same µops one by
         /// one — across operand offsets, replayed input rounds, operand
-        /// undersupply (forcing partial retirement through the per-program
-        /// fallback) and output FIFOs much smaller than the dispatch (the
-        /// stall steady-state collapse).
+        /// undersupply (which single-steps) and output FIFOs much smaller
+        /// than the dispatch (the stall steady-state collapse).
         #[test]
         fn prop_virtual_pair_dispatch_equals_single_step(
             cols in 1u16..12,
@@ -1673,7 +1176,9 @@ mod tests {
         /// the same PE, as the engine issues them back to back. Taps cover
         /// every count `retire_canonical` specialises and two above them, so
         /// the monomorphised kernels and the generic instance all meet
-        /// `step()`.
+        /// `step()`. Each dispatch must also retire in exactly one
+        /// `step_burst` call: a change that silently drops the closed form
+        /// would otherwise pass every equality check as a slowdown.
         #[test]
         fn prop_canonical_dispatch_equals_single_step(
             cols in 1u16..9,
@@ -1713,8 +1218,10 @@ mod tests {
                 fast.try_push_mac_pairs((cols * group) as usize).unwrap();
                 let budget = 4_096;
                 let ref_cycles = reference.run_until_idle(budget);
-                let fast_cycles = fast.run_until_idle_burst(budget);
+                let fast_cycles = fast.step_burst(budget);
                 prop_assert!(reference.is_idle(), "reference did not drain");
+                prop_assert!(fast.is_idle(), "one step_burst did not drain the dispatch");
+                prop_assert_eq!(fast_cycles, u64::from(taps * cols * group));
                 prop_assert_eq!(ref_cycles, fast_cycles, "cycle counts diverged");
                 prop_assert_eq!(&reference, &fast, "PE state diverged");
             }
