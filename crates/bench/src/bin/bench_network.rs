@@ -8,11 +8,14 @@
 //! cargo run --release -p ganax-bench --bin bench_network -- --threads 1,2,4
 //! ```
 //!
-//! The report records per-layer busy cycles, load balance and wall-clock,
-//! total simulated-cycles-per-second, a one-shot thread-count sweep
-//! (`--threads` / `GANAX_BENCH_THREADS`, default `1,2,4,available`), the
+//! The report records the host (nproc, build profile), per-layer busy
+//! cycles, load balance and wall-clock, total simulated-cycles-per-second,
+//! the compile time and compiled plan size against the raw weights, a warm
+//! pool-size sweep over one compiled artifact (`--threads` /
+//! `GANAX_BENCH_THREADS`, default `1,2,4,available`), the
 //! machine-vs-analytic cross-check, and the simulated speedup/energy
-//! direction against the Eyeriss baseline.
+//! direction against the Eyeriss baseline. The run fails when the
+//! cross-check is inconsistent or the plans outgrow 1.5× the raw weights.
 
 use ganax_bench::{cli_out_path, cli_thread_counts, network_bench};
 
@@ -42,9 +45,16 @@ fn main() {
         report.threads,
         report.plan_ms,
     );
+    let plan_ratio = report.plan_bytes as f64 / report.raw_weight_bytes as f64;
+    println!(
+        "compile {:.1} ms  plans {:.1} MB ({plan_ratio:.3}x the {:.1} MB of PE-array weights)",
+        report.compile_ms,
+        report.plan_bytes as f64 / 1e6,
+        report.raw_weight_bytes as f64 / 1e6,
+    );
     for timing in &report.thread_scaling {
         println!(
-            "  one-shot @ {:>2} threads  {:>9.1} ms  ({:>5.2}x vs serial)",
+            "  warm @ {:>2} threads  {:>9.1} ms  ({:>5.2}x vs serial)",
             timing.threads, timing.ms, timing.speedup_vs_serial,
         );
     }
@@ -66,5 +76,9 @@ fn main() {
     assert!(
         report.cross_check_consistent,
         "machine activity diverged from the analytic model"
+    );
+    assert!(
+        plan_ratio <= 1.5,
+        "compiled plans hold {plan_ratio:.3}x the raw weights (limit 1.5x)"
     );
 }

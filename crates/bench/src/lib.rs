@@ -22,11 +22,11 @@ use ganax::compare::{compare_all, geometric_mean, ModelComparison, SimulatedComp
 use ganax::serve::{ServeConfig, Server};
 use ganax::sweep::MachineSweepCell;
 use ganax::{
-    DesignSummary, FaultKind, FaultSpec, GanaxConfig, GanaxMachine, InferenceEngine, IntegrityMode,
-    NetworkWeights, SweepCell, SweepSpec,
+    CompiledNetwork, DesignSummary, FaultKind, FaultSpec, GanaxConfig, GanaxMachine,
+    InferenceEngine, IntegrityMode, NetworkWeights, SweepCell, SweepSpec,
 };
 use ganax_energy::EnergyCategory;
-use ganax_models::{zoo, Layer, Network};
+use ganax_models::{zoo, Layer, LayerOp, Network};
 use ganax_tensor::{Shape, Tensor};
 use serde::Serialize;
 
@@ -570,6 +570,10 @@ pub struct NetworkBenchReport {
     pub quick: bool,
     /// Worker threads used for the PE-array layers.
     pub threads: usize,
+    /// Logical CPUs of the host the report was measured on.
+    pub nproc: usize,
+    /// Cargo build profile of the bench binary (`release` or `debug`).
+    pub profile: String,
     /// Per-layer measurements.
     pub rows: Vec<NetworkBenchRow>,
     /// Total busy PE cycles simulated.
@@ -578,11 +582,23 @@ pub struct NetworkBenchReport {
     pub total_wall_ms: f64,
     /// Wall-clock milliseconds spent planning layers during the primary run.
     pub plan_ms: f64,
+    /// Wall-clock milliseconds of one standalone
+    /// [`CompiledNetwork::compile`](ganax::CompiledNetwork::compile) (weight
+    /// validation plus every layer plan) — the artifact the sweep executes.
+    pub compile_ms: f64,
+    /// Heap bytes of the compiled layer plans
+    /// ([`CompiledNetwork::plan_bytes`](ganax::CompiledNetwork::plan_bytes)).
+    pub plan_bytes: usize,
+    /// Bytes of the raw weight tensors of the PE-array layers the plans
+    /// cover; the `bench_network` binary asserts `plan_bytes` stays within
+    /// 1.5× of it.
+    pub raw_weight_bytes: usize,
     /// Simulated busy cycles per wall-clock second.
     pub cycles_per_sec: f64,
-    /// One-shot (`execute_network_threaded`: compile + run) wall-clock over
-    /// the swept worker counts (see [`bench_thread_counts`]); every swept
-    /// run's output is asserted identical to the primary run's.
+    /// Warm execution wall-clock (best of 2 [`InferenceEngine::execute`]
+    /// calls on the compiled artifact; compile excluded) over the swept pool
+    /// sizes (see [`bench_thread_counts`]); every swept run's output is
+    /// asserted identical to the primary run's.
     pub thread_scaling: Vec<ThreadTiming>,
     /// Whether every layer's measured MACs agree with the analytic model.
     pub cross_check_consistent: bool,
@@ -594,8 +610,9 @@ pub struct NetworkBenchReport {
 
 /// Runs the DCGAN generator end to end on the cycle-level machine — full
 /// size, or channel-capped at 64 with `quick` for CI smoke runs — and
-/// packages the [`SimulatedComparison`] into a serializable report, plus a
-/// one-shot thread-count sweep over `thread_counts`.
+/// packages the [`SimulatedComparison`] into a serializable report, plus the
+/// compile cost, the plan size and a warm pool-size sweep over
+/// `thread_counts`.
 pub fn network_bench(quick: bool, thread_counts: &[usize]) -> NetworkBenchReport {
     let generator = zoo::dcgan().generator;
     let network = if quick {
@@ -611,15 +628,29 @@ pub fn network_bench(quick: bool, thread_counts: &[usize]) -> NetworkBenchReport
         SimulatedComparison::run(&network, &input, &weights).expect("DCGAN generator executes");
     let execution = &report.execution;
     let machine = GanaxMachine::paper();
+    // Compile once, outside every timed execution: the artifact is
+    // engine-independent, so one compile serves every pool size.
+    let compile_start = Instant::now();
+    let compiled =
+        CompiledNetwork::compile(&machine, &network, &weights).expect("network compiles");
+    let compile_ms = compile_start.elapsed().as_secs_f64() * 1e3;
+    let raw_weight_bytes = network
+        .layers()
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| !matches!(l.op, LayerOp::Projection))
+        .map(|(i, _)| weights.weight(i).len() * std::mem::size_of::<f32>())
+        .sum();
     let thread_scaling: Vec<ThreadTiming> = {
         let timed: Vec<(usize, f64)> = thread_counts
             .iter()
             .map(|&threads| {
-                let start = Instant::now();
-                let run = machine
-                    .execute_network_threaded(&network, &input, &weights, threads)
-                    .expect("swept run executes");
-                let ms = start.elapsed().as_secs_f64() * 1e3;
+                let engine = InferenceEngine::new(machine, threads);
+                let (run, ms) = time_best_of(2, || {
+                    engine
+                        .execute(&compiled, &input)
+                        .expect("swept run executes")
+                });
                 assert_eq!(
                     run.output, execution.output,
                     "{threads}-thread sweep diverged from the primary run"
@@ -659,10 +690,20 @@ pub fn network_bench(quick: bool, thread_counts: &[usize]) -> NetworkBenchReport
         network: execution.network.clone(),
         quick,
         threads: execution.threads,
+        nproc: available_parallelism(),
+        profile: if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        }
+        .to_string(),
         rows,
         total_busy_pe_cycles: execution.total_busy_pe_cycles(),
         total_wall_ms: execution.wall_seconds * 1e3,
         plan_ms: execution.plan_seconds * 1e3,
+        compile_ms,
+        plan_bytes: compiled.plan_bytes(),
+        raw_weight_bytes,
         cycles_per_sec: execution.cycles_per_second(),
         thread_scaling,
         cross_check_consistent: report.is_consistent(),

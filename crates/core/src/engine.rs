@@ -6,8 +6,9 @@
 //! This module is that split, made explicit:
 //!
 //! * [`CompiledNetwork`] validates a network's weights once and hoists every
-//!   layer's plan (row taps, phase chunks, reordered/flipped weight rows, the
-//!   phase-major dispatch order) into an immutable, `Arc`-shared artifact;
+//!   layer's plan (row taps, phase chunks, one phase-major copy of the
+//!   flipped kernel rows, the phase-major dispatch order) into an immutable,
+//!   `Arc`-shared artifact;
 //! * [`InferenceEngine`] owns a **persistent worker pool**: long-lived
 //!   threads fed through a shard queue, each owning one worker PE that is
 //!   [reset in place](ganax_sim::ProcessingEngine::reset) between dispatch
@@ -78,7 +79,7 @@ use ganax_tensor::Tensor;
 
 use crate::config::IntegrityMode;
 use crate::machine::{
-    accumulate_input_checksum, add_slots, dispatch_ordinal_base, gather_input,
+    accumulate_input_checksum, add_slots, dispatch_ordinal_base, gather_streams,
     load_dispatch_weights, retire_group, row_checksum_ok, shard_for_position, Dispatch,
     GanaxMachine, LayerPlan, MachineError, MachineRun, PlannedLayer, RowChecksum, ShardFaults,
     MAX_HEAL_ROUNDS,
@@ -96,7 +97,7 @@ enum CompiledLayer {
     Machine {
         /// The layer description, shared with worker threads.
         layer: Arc<Layer>,
-        /// The hoisted plan (taps, chunks, reordered/flipped weight rows).
+        /// The hoisted plan (taps, chunks, phase-major flipped kernel rows).
         plan: Arc<PlannedLayer>,
     },
 }
@@ -188,6 +189,19 @@ impl CompiledNetwork {
     /// Wall-clock seconds spent validating and planning at compile time.
     pub fn plan_seconds(&self) -> f64 {
         self.plan_seconds
+    }
+
+    /// Heap bytes held by the compiled layer plans (kernel rows, checksum
+    /// sums and addressing tables of every PE-array layer), excluding the
+    /// shared raw [`weights`](Self::weights).
+    pub fn plan_bytes(&self) -> usize {
+        self.layers
+            .iter()
+            .map(|l| match l {
+                CompiledLayer::Host => 0,
+                CompiledLayer::Machine { plan, .. } => plan.plan.heap_bytes(),
+            })
+            .sum()
     }
 
     /// Number of layers that execute on the PE array (the rest are host
@@ -539,7 +553,13 @@ fn run_resident_shard(
                         for (&(e, slot, iy), sub) in block.iter().zip(buf.chunks_exact_mut(stream))
                         {
                             let input_row = task.inputs[e].row_2d(ci, iy);
-                            gather_input(dispatch.taps, &dispatch.input_starts, input_row, sub);
+                            gather_streams(
+                                dispatch.taps,
+                                &dispatch.input_starts,
+                                input_row,
+                                input_row.len(),
+                                sub,
+                            );
                             // Each chunk's piece keeps the chunk's own
                             // input-fault sites.
                             for (&idx, &ordinal) in dispatch.chunks.iter().zip(&ordinals) {
@@ -1508,6 +1528,38 @@ mod tests {
         assert_eq!(first.plan_seconds, 0.0);
         assert_eq!(second.plan_seconds, 0.0);
         assert_eq!(first.total_counts(), second.total_counts());
+    }
+
+    /// A compiled plan holds one phase-major copy of each kernel row plus
+    /// per-`(ky, ci, kx')` checksum sums, not a weight stream per dispatch
+    /// column: on every reduced zoo generator at 64 channels its heap bytes
+    /// stay within 1.5× the raw weights of the PE-array layers. The artifact
+    /// shares the caller's weight tensors instead of copying them.
+    #[test]
+    fn compiled_plans_stay_near_raw_weight_size() {
+        for model in ganax_models::zoo::all_models() {
+            let net = ganax_models::zoo::reduced_generator(&model.name, 64).unwrap();
+            let weights = toy_weights(&net, 3);
+            let compiled =
+                CompiledNetwork::compile(&GanaxMachine::paper(), &net, &weights).unwrap();
+            let raw_bytes: usize = net
+                .layers()
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| !matches!(l.op, LayerOp::Projection))
+                .map(|(i, _)| weights.weight(i).len() * std::mem::size_of::<f32>())
+                .sum();
+            let plan_bytes = compiled.plan_bytes();
+            assert!(
+                plan_bytes as f64 <= 1.5 * raw_bytes as f64,
+                "{}: plans hold {plan_bytes} bytes against {raw_bytes} raw",
+                model.name
+            );
+            assert!(std::ptr::eq(
+                compiled.weights().weight(0),
+                weights.weight(0)
+            ));
+        }
     }
 
     /// `net` chained layer by layer through the single-step reference (host

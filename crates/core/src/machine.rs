@@ -20,9 +20,10 @@
 //!
 //! * **a per-layer plan** hoists everything that the seed implementation
 //!   recomputed per work unit — consequential vertical taps per output row,
-//!   consequential column runs per output column, and the (flipped, for
-//!   transposed convolutions) weight rows — out of the inner loop, making the
-//!   hot path allocation-free;
+//!   consequential column runs per output column, and one phase-major copy of
+//!   the (flipped, for transposed convolutions) kernel rows that weight
+//!   streams are gathered from — out of the inner loop, making the hot path
+//!   allocation-free;
 //! * **one closed-form dispatch shape**: every dispatch the engine issues is
 //!   a run of virtual `repeat`+`mac` pairs over one replayed input stream,
 //!   and [`ProcessingEngine::step_burst`] retires it in one call instead of
@@ -247,13 +248,17 @@ pub(crate) struct Dispatch {
     pub(crate) slot: usize,
     /// Per column, the first input column it reads.
     pub(crate) input_starts: Vec<usize>,
+    /// Per column, the first word of its column run in a phase-major kernel
+    /// row ([`LayerPlan::kernel`]); the run's `taps` words follow it.
+    pub(crate) weight_starts: Vec<usize>,
 }
 
 /// Everything about a layer that the seed implementation recomputed per work
 /// unit, hoisted out of the hot loop: consequential vertical taps per output
 /// row, consequential columns grouped into equal-tap-count chunks and
-/// dispatches, and pre-gathered weight rows (spatially flipped for transposed
-/// convolutions). Shared read-only by every worker PE.
+/// dispatches, and one phase-major copy of the kernel rows (spatially flipped
+/// for transposed convolutions) that each dispatch gathers its weight stream
+/// from. Shared read-only by every worker PE.
 pub(crate) struct LayerPlan {
     /// Per output row: the consequential `(ky, iy)` vertical taps.
     pub(crate) row_taps: Vec<Vec<(usize, usize)>>,
@@ -270,40 +275,40 @@ pub(crate) struct LayerPlan {
     /// columns are contiguous (in dispatch order), inconsequential columns
     /// come last. A permutation of `0..width`.
     pub(crate) column_slot: Vec<usize>,
-    /// Every dispatch's gathered weight streams, pre-staged at plan time: for
-    /// dispatch `d`, the stream of `(ky, ci, co)` starts at
-    /// `weight_stream_base[d] + ((ky * input_channels + ci) *
-    /// output_channels + co) * stream` and runs `stream = taps × cols` words
-    /// (a carried chunk's piece starts `dispatch_col × taps` words in).
-    /// Weight gathering is row-independent, so the seed path's per-(row ×
-    /// shard) re-gather — the dominant duplicated work under threading —
-    /// collapses to one `memcpy` per dispatch. `co` is innermost so a whole
-    /// channel group's streams are one contiguous slice.
-    pub(crate) weight_streams: Vec<f32>,
-    /// Per dispatch: base offset of its streams in `weight_streams`.
-    pub(crate) weight_stream_base: Vec<usize>,
-    /// ABFT weight checksums, precomputed at plan time: for dispatch `d`,
-    /// the checksum stream of `(ky, ci)` starts at `checksum_stream_base[d] +
-    /// (ky * input_channels + ci) * stream` and holds, per stream element,
-    /// the f64 sum of that element's weight over every output channel
-    /// (`co` ascending — the Huang–Abraham column sum). Dotting a clean
-    /// gathered input stream with this predicts the sum of the work unit's
+    /// The layer's kernel rows (spatially flipped for transposed
+    /// convolutions), laid out `[ky][ci][co][kx']`: exactly the raw weights'
+    /// size, with a whole channel group's rows contiguous. Kernel columns are
+    /// stored phase-major (`kx` sorted by `kx mod` the layer's column phase
+    /// stride, ascending within a class), so every column run's `taps` words
+    /// are one contiguous slice of its row, starting at the column's
+    /// [`Dispatch::weight_starts`] entry. A dispatch's weight streams are
+    /// gathered from these rows when it is loaded
+    /// ([`load_dispatch_weights`]), the way GANAX's strided weight
+    /// generators replay one filter row for every output of a phase.
+    pub(crate) kernel: Vec<f32>,
+    /// ABFT weight checksums, precomputed at plan time: per `(ky, ci, kx')`
+    /// (index `(ky * input_channels + ci) * kernel_w + kx'`), the f64 sum of
+    /// that kernel word over every output channel (`co` ascending — the
+    /// Huang–Abraham column sum). Dotting a clean gathered input stream with
+    /// the sums its columns index predicts the sum of the work unit's
     /// contributions across all output channels.
-    pub(crate) checksum_streams: Vec<f64>,
-    /// Companion magnitude streams: the same layout, holding the sum of
+    pub(crate) column_sums: Vec<f64>,
+    /// Companion magnitude sums: the same layout, holding the sum of
     /// *absolute* weights over the output channels. Dotted with `|x|` this
     /// upper-bounds the total product magnitude feeding a row — the scale
     /// the verification tolerance is derived from (a cancellation-proof
     /// bound, unlike `|checksum|`).
-    pub(crate) abs_checksum_streams: Vec<f64>,
-    /// Per dispatch: base offset of its streams in `checksum_streams` /
-    /// `abs_checksum_streams`.
-    pub(crate) checksum_stream_base: Vec<usize>,
+    pub(crate) abs_column_sums: Vec<f64>,
+    /// The most consequential taps any column reads (the per-tap length of
+    /// the longest accumulation chain, used by [`row_tolerance`]).
+    pub(crate) max_taps: usize,
     /// Kernel height (rows per `(co, ci)` filter plane).
     pub(crate) kernel_h: usize,
-    /// Input channels (stride of the `co` index).
+    /// Kernel width (words per kernel row).
+    pub(crate) kernel_w: usize,
+    /// Input channels (stride of the `ky` index).
     pub(crate) input_channels: usize,
-    /// Output channels (stride of the `ci` index in the stream layout).
+    /// Output channels (stride of the `ci` index).
     pub(crate) output_channels: usize,
 }
 
@@ -319,10 +324,7 @@ impl LayerPlan {
         params: &ConvParams,
         pe: &PeConfig,
     ) -> Vec<ColumnChunk> {
-        let col_step = match params.kind {
-            ConvKind::Transposed => params.stride.2,
-            ConvKind::Conventional => 1,
-        };
+        let col_step = phase_step(params);
         let mut chunks = Vec::new();
         for residue in 0..col_step {
             let mut ox = residue;
@@ -362,10 +364,11 @@ impl LayerPlan {
     /// columns stay within the bounds [`LayerPlan::build_chunks`] applies,
     /// and opens a new one otherwise. Records each chunk's dispatch and
     /// offset, and lays the row out dispatch-major (the returned column
-    /// slots).
+    /// slots). `kernel_pos` maps a kernel column to its phase-major position.
     fn bundle_chunks(
         chunks: &mut [ColumnChunk],
         column_runs: &[Option<ColumnRun>],
+        kernel_pos: &[usize],
         pe: &PeConfig,
     ) -> (Vec<Dispatch>, Vec<usize>) {
         let mut dispatches: Vec<Dispatch> = Vec::new();
@@ -383,6 +386,7 @@ impl LayerPlan {
                         chunks: Vec::new(),
                         slot: 0,
                         input_starts: Vec::new(),
+                        weight_starts: Vec::new(),
                     });
                     dispatches.len() - 1
                 }
@@ -392,12 +396,13 @@ impl LayerPlan {
             chunk.dispatch_col = dispatch.cols;
             dispatch.cols += chunk.cols;
             dispatch.chunks.push(idx);
-            dispatch.input_starts.extend((0..chunk.cols).map(|c| {
-                column_runs[chunk.ox_start + c * chunk.col_step]
+            for c in 0..chunk.cols {
+                let run = column_runs[chunk.ox_start + c * chunk.col_step]
                     .as_ref()
-                    .expect("chunks cover consequential columns")
-                    .input_start
-            }));
+                    .expect("chunks cover consequential columns");
+                dispatch.input_starts.push(run.input_start);
+                dispatch.weight_starts.push(kernel_pos[run.kernel_start]);
+            }
         }
         let width = column_runs.len();
         let mut column_slot = vec![usize::MAX; width];
@@ -448,86 +453,54 @@ impl LayerPlan {
         let column_runs: Vec<Option<ColumnRun>> = (0..layer.output.width)
             .map(|ox| column_run(ox, params, layer.input.width))
             .collect();
-        let mut chunks = Self::build_chunks(&column_runs, params, pe);
-        let (dispatches, column_slot) = Self::bundle_chunks(&mut chunks, &column_runs, pe);
-
         let (kernel_h, kernel_w) = (params.kernel.1, params.kernel.2);
+        let kernel_pos = phase_major_positions(kernel_w, phase_step(params));
+        let mut chunks = Self::build_chunks(&column_runs, params, pe);
+        let (dispatches, column_slot) =
+            Self::bundle_chunks(&mut chunks, &column_runs, &kernel_pos, pe);
+        let max_taps = chunks.iter().map(|c| c.taps).max().unwrap_or(0);
+
+        // The machine gathers over the zero-inserted domain, so for
+        // transposed convolutions the kernel is spatially flipped (the
+        // classical adjoint relationship — see
+        // `ganax_tensor::tconv_via_zero_insertion`). The raw filter is
+        // `[co][ci][kz][ky][kx]`; 2-D layers read its `kz = 0` plane.
         let (co_count, ci_count) = (layer.output.channels, layer.input.channels);
-        let mut weight_rows = vec![0.0f32; co_count * ci_count * kernel_h * kernel_w];
-        let mut idx = 0;
+        let flip = layer.is_tconv();
+        let raw = weights.data();
+        let plane = params.kernel.0 * kernel_h;
+        let mut kernel = vec![0.0f32; co_count * ci_count * kernel_h * kernel_w];
         for co in 0..co_count {
             for ci in 0..ci_count {
                 for ky in 0..kernel_h {
-                    for kx in 0..kernel_w {
-                        // The machine gathers over the zero-inserted domain,
-                        // so for transposed convolutions the kernel is
-                        // spatially flipped (the classical adjoint
-                        // relationship — see
-                        // `ganax_tensor::tconv_via_zero_insertion`).
-                        weight_rows[idx] = if layer.is_tconv() {
-                            weights.at_filter(co, ci, 0, kernel_h - 1 - ky, kernel_w - 1 - kx)
-                        } else {
-                            weights.at_filter(co, ci, 0, ky, kx)
-                        };
-                        idx += 1;
+                    let src_ky = if flip { kernel_h - 1 - ky } else { ky };
+                    let src =
+                        &raw[((co * ci_count + ci) * plane + src_ky) * kernel_w..][..kernel_w];
+                    let dst = &mut kernel[((ky * ci_count + ci) * co_count + co) * kernel_w..]
+                        [..kernel_w];
+                    for (kx, &w) in src.iter().enumerate() {
+                        let kx = if flip { kernel_w - 1 - kx } else { kx };
+                        dst[kernel_pos[kx]] = w;
                     }
                 }
             }
         }
-        // Stage every dispatch's gathered weight streams once at plan time
-        // (they depend only on `(dispatch, ky, ci, co)`, never on the output
-        // row), so the hot path loads weights with a straight copy instead
-        // of re-gathering the same stream for every row on every worker.
-        let total_stream: usize = dispatches.iter().map(|d| d.taps * d.cols).sum();
-        let mut weight_streams = Vec::with_capacity(total_stream * kernel_h * ci_count * co_count);
-        let mut weight_stream_base = Vec::with_capacity(dispatches.len());
-        // The ABFT column-sum checksums ride along: per `(dispatch, ky, ci)`
-        // stream element, the (f64) sum of the weight over every output
-        // channel, plus the absolute-value companion that scales the
-        // verification tolerance. Both are cheap (one extra pass over data
-        // already being staged) and built unconditionally, so a plan is
-        // valid under every `IntegrityMode`.
-        let mut checksum_streams = Vec::with_capacity(total_stream * kernel_h * ci_count);
-        let mut abs_checksum_streams = Vec::with_capacity(total_stream * kernel_h * ci_count);
-        let mut checksum_stream_base = Vec::with_capacity(dispatches.len());
-        for dispatch in &dispatches {
-            // Per stream element, the kernel column it gathers.
-            let weight_offsets: Vec<usize> = dispatch
-                .chunks
-                .iter()
-                .flat_map(|&idx| {
-                    let chunk = &chunks[idx];
-                    (0..chunk.cols).map(|c| chunk.ox_start + c * chunk.col_step)
-                })
-                .flat_map(|ox| {
-                    let run = column_runs[ox]
-                        .as_ref()
-                        .expect("chunks cover consequential columns");
-                    (0..run.taps).map(move |j| run.kernel_start + j * run.kernel_step)
-                })
-                .collect();
-            weight_stream_base.push(weight_streams.len());
-            checksum_stream_base.push(checksum_streams.len());
-            for ky in 0..kernel_h {
-                for ci in 0..ci_count {
-                    for co in 0..co_count {
-                        let row = (co * ci_count + ci) * kernel_h + ky;
-                        let weight_row = &weight_rows[row * kernel_w..(row + 1) * kernel_w];
-                        weight_streams.extend(weight_offsets.iter().map(|&kx| weight_row[kx]));
-                    }
-                    let stream = dispatch.taps * dispatch.cols;
-                    let group = &weight_streams[weight_streams.len() - co_count * stream..];
-                    for element in 0..stream {
-                        let mut sum = 0.0f64;
-                        let mut abs = 0.0f64;
-                        for co in 0..co_count {
-                            let w = f64::from(group[co * stream + element]);
-                            sum += w;
-                            abs += w.abs();
-                        }
-                        checksum_streams.push(sum);
-                        abs_checksum_streams.push(abs);
-                    }
+        // The ABFT column sums: per `(ky, ci, kx')`, the f64 sum of the
+        // kernel word over every output channel (`co` ascending), plus the
+        // absolute-value companion that scales the verification tolerance.
+        // Built unconditionally, so a plan is valid under every
+        // `IntegrityMode`.
+        let mut column_sums = vec![0.0f64; kernel_h * ci_count * kernel_w];
+        let mut abs_column_sums = vec![0.0f64; column_sums.len()];
+        let sums = column_sums
+            .chunks_exact_mut(kernel_w)
+            .zip(abs_column_sums.chunks_exact_mut(kernel_w));
+        for ((sum, abs), group) in sums.zip(kernel.chunks_exact(co_count * kernel_w)) {
+            for row in group.chunks_exact(kernel_w) {
+                for ((sum, abs), &w) in sum.iter_mut().zip(abs.iter_mut()).zip(row) {
+                    let w = f64::from(w);
+                    *sum += w;
+                    *abs += w.abs();
                 }
             }
         }
@@ -538,16 +511,61 @@ impl LayerPlan {
             chunks,
             dispatches,
             column_slot,
-            weight_streams,
-            weight_stream_base,
-            checksum_streams,
-            abs_checksum_streams,
-            checksum_stream_base,
+            kernel,
+            column_sums,
+            abs_column_sums,
+            max_taps,
             kernel_h,
+            kernel_w,
             input_channels: ci_count,
             output_channels: co_count,
         }
     }
+
+    /// Heap bytes the plan holds (allocated capacity of every buffer).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let dispatches: usize = self
+            .dispatches
+            .iter()
+            .map(|d| bytes(&d.chunks) + bytes(&d.input_starts) + bytes(&d.weight_starts))
+            .sum();
+        bytes(&self.row_taps)
+            + self.row_taps.iter().map(bytes).sum::<usize>()
+            + bytes(&self.row_order)
+            + bytes(&self.chunks)
+            + bytes(&self.dispatches)
+            + dispatches
+            + bytes(&self.column_slot)
+            + bytes(&self.kernel)
+            + bytes(&self.column_sums)
+            + bytes(&self.abs_column_sums)
+    }
+}
+
+/// The column phase stride of a layer: a transposed convolution's column
+/// stride (output columns of one residue read equally many taps, and a
+/// column run's kernel columns step by it), 1 for a conventional one.
+fn phase_step(params: &ConvParams) -> usize {
+    match params.kind {
+        ConvKind::Transposed => params.stride.2,
+        ConvKind::Conventional => 1,
+    }
+}
+
+/// Per kernel column `kx`, its position in a phase-major row: columns sorted
+/// by `kx mod step`, ascending within each class. A column run
+/// (`kernel_start + j · step`, `j < taps`) then occupies `taps` consecutive
+/// positions.
+fn phase_major_positions(kernel_w: usize, step: usize) -> Vec<usize> {
+    let mut positions = vec![0; kernel_w];
+    let order = (0..step).flat_map(|residue| (residue..kernel_w).step_by(step));
+    for (pos, kx) in order.enumerate() {
+        positions[kx] = pos;
+    }
+    positions
 }
 
 /// The ABFT checksum state of one output row, accumulated by the worker that
@@ -594,8 +612,8 @@ const INTEGRITY_SAFETY: f64 = 2.0;
 /// A pure function of the plan and the (bit-identical) magnitude checksum,
 /// so every pool size reaches the same verdict.
 pub(crate) fn row_tolerance(plan: &LayerPlan, oy: usize, magnitude: f64) -> f64 {
-    let max_taps = plan.chunks.iter().map(|c| c.taps).max().unwrap_or(0);
-    let chain = plan.row_taps[oy].len() * plan.input_channels * max_taps + plan.output_channels;
+    let chain =
+        plan.row_taps[oy].len() * plan.input_channels * plan.max_taps + plan.output_channels;
     INTEGRITY_SAFETY * f64::from(f32::EPSILON) * (chain as f64).sqrt() * magnitude + 1e-30
 }
 
@@ -610,9 +628,11 @@ pub(crate) fn row_checksum_ok(plan: &LayerPlan, oy: usize, check: &RowChecksum) 
 /// row, so no scheduled corruption can reach it — into a row's checksum
 /// accumulators: the predicted output checksum gains
 /// `Σ checksum(W)[el] · x[el]`, the magnitude bound gains
-/// `Σ |W|-checksum[el] · |x[el]|`, element by element in stream order.
-/// The shard runner folds chunks in `ky → ci → chunk` order, whatever order
-/// it dispatches in, so the triple is the same at every pool size.
+/// `Σ |W|-checksum[el] · |x[el]|`, element by element in stream order; each
+/// column's elements index the plan's per-`kx'` sums from the column's
+/// weight start. The shard runner folds chunks in `ky → ci → chunk` order,
+/// whatever order it dispatches in, so the triple is the same at every pool
+/// size.
 pub(crate) fn accumulate_input_checksum(
     plan: &LayerPlan,
     chunk_idx: usize,
@@ -623,19 +643,19 @@ pub(crate) fn accumulate_input_checksum(
 ) {
     let chunk = &plan.chunks[chunk_idx];
     let dispatch = &plan.dispatches[chunk.dispatch];
-    let base = plan.checksum_stream_base[chunk.dispatch]
-        + (ky * plan.input_channels + ci) * dispatch.taps * dispatch.cols
-        + chunk.dispatch_col * chunk.taps;
-    let stream = chunk.taps * chunk.cols;
-    let csum = &plan.checksum_streams[base..base + stream];
-    let abs = &plan.abs_checksum_streams[base..base + stream];
-    let columns = chunk_input_starts(plan, chunk)
+    let columns = chunk.dispatch_col..chunk.dispatch_col + chunk.cols;
+    let base = (ky * plan.input_channels + ci) * plan.kernel_w;
+    let csum = &plan.column_sums[base..base + plan.kernel_w];
+    let abs = &plan.abs_column_sums[base..base + plan.kernel_w];
+    let starts = dispatch.input_starts[columns.clone()]
         .iter()
-        .zip(csum.chunks_exact(chunk.taps))
-        .zip(abs.chunks_exact(chunk.taps));
-    for ((&start, csum), abs) in columns {
+        .zip(&dispatch.weight_starts[columns]);
+    for (&start, &w0) in starts {
         let clean = &input_row[start..start + chunk.taps];
-        for ((&x, &w), &w_abs) in clean.iter().zip(csum).zip(abs) {
+        let sums = csum[w0..w0 + chunk.taps]
+            .iter()
+            .zip(&abs[w0..w0 + chunk.taps]);
+        for (&x, (&w, &w_abs)) in clean.iter().zip(sums) {
             let x = f64::from(x);
             check.predicted += w * x;
             check.magnitude += w_abs * x.abs();
@@ -1024,34 +1044,55 @@ impl GanaxMachine {
     }
 }
 
-/// Gathers one input row's operand stream into `dst`: `taps` words starting
-/// at each column's first input column, one column after another. Like the
-/// PE's canonical retire, the copy is monomorphised on the tap counts the
-/// zoo's plans produce, with one generic instance for every other count.
-pub(crate) fn gather_input(taps: usize, starts: &[usize], input_row: &[f32], dst: &mut [f32]) {
+/// Gathers operand streams into `dst`, one per `row_len`-word row of `rows`,
+/// back to back: each stream holds `taps` words from every column's start in
+/// its row, one column after another. Input streams gather from one input row
+/// (starts: [`Dispatch::input_starts`]); a channel group's weight streams
+/// gather from its contiguous phase-major kernel rows (starts:
+/// [`Dispatch::weight_starts`]). Like the PE's canonical retire, the copy is
+/// monomorphised on the tap counts the zoo's plans produce, with one generic
+/// instance for every other count.
+pub(crate) fn gather_streams(
+    taps: usize,
+    starts: &[usize],
+    rows: &[f32],
+    row_len: usize,
+    dst: &mut [f32],
+) {
     match taps {
-        1 => gather_columns::<1>(starts, input_row, dst),
-        2 => gather_columns::<2>(starts, input_row, dst),
-        3 => gather_columns::<3>(starts, input_row, dst),
+        1 => gather_columns::<1>(starts, rows, row_len, dst),
+        2 => gather_columns::<2>(starts, rows, row_len, dst),
+        3 => gather_columns::<3>(starts, rows, row_len, dst),
         taps => {
-            for (&start, slot) in starts.iter().zip(dst.chunks_exact_mut(taps)) {
-                slot.copy_from_slice(&input_row[start..start + taps]);
+            let streams = dst.chunks_exact_mut(starts.len() * taps);
+            for (row, stream) in rows.chunks_exact(row_len).zip(streams) {
+                for (&start, slot) in starts.iter().zip(stream.chunks_exact_mut(taps)) {
+                    slot.copy_from_slice(&row[start..start + taps]);
+                }
             }
         }
     }
 }
 
-/// [`gather_input`] for a compile-time tap count `R`.
-fn gather_columns<const R: usize>(starts: &[usize], input_row: &[f32], dst: &mut [f32]) {
-    let (slots, _) = dst.as_chunks_mut::<R>();
-    for (&start, slot) in starts.iter().zip(slots) {
-        slot.copy_from_slice(&input_row[start..start + R]);
+/// [`gather_streams`] for a compile-time tap count `R`. One row walks its
+/// columns; several rows (a channel group's kernel rows, a few words each)
+/// walk each column down the rows instead, so the inner loop is a single
+/// strided `R`-word copy rather than a short per-row column walk.
+fn gather_columns<const R: usize>(starts: &[usize], rows: &[f32], row_len: usize, dst: &mut [f32]) {
+    let stream = starts.len() * R;
+    if rows.len() == row_len {
+        let (slots, _) = dst[..stream].as_chunks_mut::<R>();
+        for (&start, slot) in starts.iter().zip(slots) {
+            slot.copy_from_slice(&rows[start..start + R]);
+        }
+        return;
     }
-}
-
-/// Per column of `chunk`, the first input column it reads.
-fn chunk_input_starts<'a>(plan: &'a LayerPlan, chunk: &ColumnChunk) -> &'a [usize] {
-    &plan.dispatches[chunk.dispatch].input_starts[chunk.dispatch_col..][..chunk.cols]
+    for (c, &start) in starts.iter().enumerate() {
+        let streams = dst.chunks_exact_mut(stream);
+        for (row, slot) in rows.chunks_exact(row_len).zip(streams) {
+            slot[c * R..c * R + R].copy_from_slice(&row[start..start + R]);
+        }
+    }
 }
 
 /// Adds one channel's produced partial sums into its output words, in
@@ -1080,8 +1121,12 @@ pub(crate) fn add_slots<'a>(
 }
 
 /// Stages the weight streams of one `(dispatch, ci, ky, channel group)` into
-/// the weight scratchpad as a single contiguous copy, returning the words
-/// loaded. `ordinals[i]` is the [`dispatch_ordinal_base`] of the dispatch's
+/// the weight scratchpad, returning the words loaded. The streams are
+/// gathered at load time from the group's contiguous phase-major kernel rows
+/// ([`LayerPlan::kernel`]) with the gather the input streams use: per
+/// channel, `taps` contiguous words from each column's
+/// [`weight_starts`](Dispatch::weight_starts) entry, one column after
+/// another. `ordinals[i]` is the [`dispatch_ordinal_base`] of the dispatch's
 /// `i`-th chunk.
 ///
 /// Scheduled corruption keeps each chunk's own fault sites: channel `co`'s
@@ -1102,10 +1147,11 @@ pub(crate) fn load_dispatch_weights(
 ) -> u64 {
     let dispatch = &plan.dispatches[d];
     let stream = dispatch.taps * dispatch.cols;
-    let base = plan.weight_stream_base[d]
-        + ((ky * plan.input_channels + ci) * plan.output_channels + co0) * stream;
+    let kw = plan.kernel_w;
+    let first = (ky * plan.input_channels + ci) * plan.output_channels + co0;
+    let rows = &plan.kernel[first * kw..][..group * kw];
     pe.load_weights_with(group * stream, |buf| {
-        buf.copy_from_slice(&plan.weight_streams[base..base + group * stream]);
+        gather_streams(dispatch.taps, &dispatch.weight_starts, rows, kw, buf);
         let Some((faults, ordinals)) = faults else {
             return;
         };
@@ -1742,6 +1788,137 @@ mod tests {
             assert_eq!(run.busy_pe_cycles, 5940, "pool {pool}: busy cycles");
             assert_eq!(run.work_units, 165, "pool {pool}: work units");
             assert_eq!(engine.injected_faults(), fired, "pool {pool}: fired faults");
+        }
+    }
+
+    /// Asserts that, with faults off, [`load_dispatch_weights`] stages for
+    /// every dispatch, `(ky, ci)` and channel group exactly the filter taps
+    /// of each column's run (recomputed with [`column_run`]) in stream
+    /// order, and that the plan's per-`kx'` checksum sums equal the f64
+    /// `co`-ascending sums of those staged words.
+    fn check_staged_weights(layer: &Layer, weights: &Tensor, planned: &PlannedLayer) {
+        let plan = &planned.plan;
+        let params = layer.op.conv_params().unwrap();
+        let (co_count, ci_count) = (layer.output.channels, layer.input.channels);
+        let (kh, kw) = (params.kernel.1, params.kernel.2);
+        // The filter tap machine kernel column `kx` of row `ky` reads: the
+        // raw filter, spatially flipped for transposed convolutions.
+        let tap = |co, ci, ky: usize, kx: usize| {
+            if layer.is_tconv() {
+                weights.at_filter(co, ci, 0, kh - 1 - ky, kw - 1 - kx)
+            } else {
+                weights.at_filter(co, ci, 0, ky, kx)
+            }
+        };
+        let mut pe = ProcessingEngine::new(planned.pe_config);
+        for (d, dispatch) in plan.dispatches.iter().enumerate() {
+            let taps = dispatch.taps;
+            let stream = taps * dispatch.cols;
+            let runs: Vec<ColumnRun> = dispatch
+                .chunks
+                .iter()
+                .flat_map(|&idx| {
+                    let chunk = &plan.chunks[idx];
+                    (0..chunk.cols).map(move |c| chunk.ox_start + c * chunk.col_step)
+                })
+                .map(|ox| column_run(ox, &params, layer.input.width).unwrap())
+                .collect();
+            assert_eq!(runs.len(), dispatch.cols);
+            for ky in 0..kh {
+                for ci in 0..ci_count {
+                    let mut sums = vec![(0.0f64, 0.0f64); stream];
+                    let mut co0 = 0;
+                    while co0 < co_count {
+                        let group = dispatch.group_max.min(co_count - co0);
+                        let words =
+                            load_dispatch_weights(&mut pe, plan, d, group, co0, ci, ky, None);
+                        assert_eq!(words, (group * stream) as u64);
+                        let staged = &pe.weight_contents()[..group * stream];
+                        for (k, channel) in staged.chunks_exact(stream).enumerate() {
+                            for (c, run) in runs.iter().enumerate() {
+                                assert_eq!(run.taps, taps);
+                                for j in 0..taps {
+                                    let kx = run.kernel_start + j * run.kernel_step;
+                                    let word = channel[c * taps + j];
+                                    assert_eq!(
+                                        word.to_bits(),
+                                        tap(co0 + k, ci, ky, kx).to_bits(),
+                                        "dispatch {d}, ky {ky}, ci {ci}, co {}, column {c}, tap {j}",
+                                        co0 + k
+                                    );
+                                    let sum = &mut sums[c * taps + j];
+                                    sum.0 += f64::from(word);
+                                    sum.1 += f64::from(word).abs();
+                                }
+                            }
+                        }
+                        co0 += group;
+                    }
+                    let base = (ky * ci_count + ci) * plan.kernel_w;
+                    for (c, &w0) in dispatch.weight_starts.iter().enumerate() {
+                        for j in 0..taps {
+                            let (sum, abs) = sums[c * taps + j];
+                            assert_eq!(plan.column_sums[base + w0 + j].to_bits(), sum.to_bits());
+                            assert_eq!(
+                                plan.abs_column_sums[base + w0 + j].to_bits(),
+                                abs.to_bits()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Across random conv/tconv geometries — strides beyond the kernel
+        /// width and strided conventional convolutions included — under the
+        /// simulation PE and a small PE that splits and bundles chunks, every
+        /// dispatch stages exactly its columns' filter taps from the
+        /// phase-major kernel rows, and the checksum sums match them.
+        #[test]
+        fn prop_load_dispatch_weights_stages_each_column_run(
+            tconv in 0u16..2,
+            in_channels in 1usize..4,
+            out_channels in 1usize..6,
+            extent in 2usize..9,
+            kernel in 1usize..6,
+            stride in 1usize..5,
+            padding in 0usize..3,
+            small_pe in 0u16..2,
+            seed in 0u64..1_000,
+        ) {
+            let params = if tconv == 1 {
+                ConvParams::transposed_2d(kernel, stride, padding.min(kernel - 1))
+            } else {
+                ConvParams::conv_2d(kernel, stride, padding.min(kernel - 1))
+            };
+            let Ok(layer) = Layer::conv(
+                "prop-staging",
+                Shape::new_2d(in_channels, extent, extent),
+                out_channels,
+                params,
+                Activation::None,
+            ) else {
+                return Ok(());
+            };
+            let config = if small_pe == 1 {
+                let pe = PeConfig {
+                    input_words: 24,
+                    weight_words: 24,
+                    output_words: 8,
+                    addr_fifo_entries: 8,
+                    uop_fifo_entries: 12,
+                };
+                GanaxConfig::paper().with_sim_pe(pe).unwrap()
+            } else {
+                GanaxConfig::paper()
+            };
+            let (_, weights) = layer_tensors(&layer, seed);
+            let planned = GanaxMachine::new(config).plan_layer(&layer, &weights).unwrap();
+            check_staged_weights(&layer, &weights, &planned);
         }
     }
 

@@ -42,6 +42,7 @@
 //! assert!(run.total_busy_pe_cycles() > 0);
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ganax_energy::{EnergyBreakdown, EnergyModel, EventCounts};
@@ -53,9 +54,13 @@ use crate::machine::{GanaxMachine, MachineError};
 
 /// Per-layer weight tensors (and optional per-channel biases) for one
 /// [`Network`], validated against the network's layer shapes.
+///
+/// The tensors are read-only once bundled and shared behind an [`Arc`], so
+/// cloning a bundle (as a [`CompiledNetwork`](crate::CompiledNetwork) or a
+/// serving model entry does) never copies the weights.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkWeights {
-    weights: Vec<Tensor>,
+    weights: Arc<[Tensor]>,
     biases: Vec<Option<Vec<f32>>>,
     /// Output channels per layer, kept for bias validation.
     out_channels: Vec<usize>,
@@ -114,7 +119,7 @@ impl NetworkWeights {
         let biases = vec![None; layers.len()];
         let out_channels = layers.iter().map(|l| l.output.channels).collect();
         Ok(NetworkWeights {
-            weights,
+            weights: weights.into(),
             biases,
             out_channels,
         })
@@ -181,7 +186,7 @@ impl NetworkWeights {
         let fold = crate::config::fnv1a64;
         fold(&mut hash, network.name().as_bytes());
         fold(&mut hash, format!("{:?}", network.input_shape()).as_bytes());
-        for (layer, weight) in network.layers().iter().zip(&self.weights) {
+        for (layer, weight) in network.layers().iter().zip(self.weights.iter()) {
             fold(&mut hash, format!("{layer:?}").as_bytes());
             for &value in weight.data() {
                 fold(&mut hash, &value.to_bits().to_le_bytes());

@@ -170,6 +170,12 @@ impl ProcessingEngine {
         self.output.contents()
     }
 
+    /// The full weight scratchpad contents (inspection without charging an
+    /// access).
+    pub fn weight_contents(&self) -> &[f32] {
+        self.weights.contents()
+    }
+
     /// Applies an access µop to the access µ-engine.
     pub fn apply_access(&mut self, uop: &AccessUop) {
         self.access.apply(uop);
