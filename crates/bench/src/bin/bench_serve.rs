@@ -30,7 +30,8 @@
 //! worker panics, worker stalls) at increasing rates — every response still
 //! bit-identical to the fault-free baseline, with the throughput and p99
 //! degradation curve plus the recovery activity (retries, respawns,
-//! requeued shards) per rate.
+//! requeued shards) per rate. An armed schedule that targets no layer
+//! separates the injector's own tax from the recovery cost.
 //!
 //! The `integrity` section records the ABFT verification tax (a
 //! `Verify`-mode engine versus the `Off`-mode headline, asserted ≤ 15% on
@@ -113,7 +114,8 @@ fn main() {
 
     for row in &report.fault_tolerance {
         println!(
-            "  faults {:>7} ppm  p50 {:>9.1} ms  p99 {:>9.1} ms ({:.2}x clean)  {:.3} req/s ({:.2}x clean)  retries {} respawns {} requeued {}",
+            "  faults {:>10} {:>7} ppm  p50 {:>9.1} ms  p99 {:>9.1} ms ({:.2}x clean)  {:.3} req/s ({:.2}x clean)  retries {} respawns {} requeued {}",
+            row.schedule,
             row.rate_ppm,
             row.p50_latency_ms,
             row.p99_latency_ms,

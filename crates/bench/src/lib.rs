@@ -236,6 +236,16 @@ pub fn cli_thread_counts(args: &[String]) -> Vec<usize> {
     bench_thread_counts(cli_value(args, "--threads"))
 }
 
+/// The Cargo build profile of the running binary (`release` or `debug`).
+pub fn build_profile() -> String {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+    .to_string()
+}
+
 /// The host's available parallelism (1 when it cannot be determined).
 pub fn available_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -691,12 +701,7 @@ pub fn network_bench(quick: bool, thread_counts: &[usize]) -> NetworkBenchReport
         quick,
         threads: execution.threads,
         nproc: available_parallelism(),
-        profile: if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        }
-        .to_string(),
+        profile: build_profile(),
         rows,
         total_busy_pe_cycles: execution.total_busy_pe_cycles(),
         total_wall_ms: execution.wall_seconds * 1e3,
@@ -787,8 +792,15 @@ pub struct OfferedLoadRow {
 /// baseline before the row is recorded.
 #[derive(Debug, Clone, Serialize)]
 pub struct FaultToleranceRow {
-    /// Injection rate in faults per million candidate sites (0 = the clean
-    /// baseline row every other row is normalized against).
+    /// Which schedule the row served: `"clean"` (no fault armed, the
+    /// baseline every other row is normalized against), `"armed-idle"` (the
+    /// maskable kinds armed at the highest swept rate but targeted at a
+    /// layer past the network, so nothing fires: its `throughput_vs_clean`
+    /// is the armed injector's tax alone) or `"maskable"` (faults fire and
+    /// are recovered from).
+    pub schedule: String,
+    /// Injection rate in faults per million candidate sites (0 on the clean
+    /// row).
     pub rate_ppm: u32,
     /// Requests served (all completed — asserted; masked faults never
     /// surface as failures).
@@ -833,6 +845,10 @@ pub struct ServeBenchReport {
     /// Pool workers behind the headline cold/warm numbers
     /// (`available_parallelism`).
     pub threads: usize,
+    /// Logical CPUs of the host the report was measured on.
+    pub nproc: usize,
+    /// Cargo build profile of the bench binary (`release` or `debug`).
+    pub profile: String,
     /// Cold request latency in milliseconds (best of 2): one
     /// [`GanaxMachine::execute_network_threaded`] call — fresh pool spawn,
     /// compile and first execute, what one request costs without a
@@ -1107,6 +1123,8 @@ pub fn serve_bench(
         quick,
         network: network.name().to_string(),
         threads,
+        nproc: available_parallelism(),
+        profile: build_profile(),
         cold_ms,
         cold_plan_ms: cold.plan_seconds * 1e3,
         compile_ms,
@@ -1138,6 +1156,11 @@ pub const FAULT_SWEEP_RATES_PPM: [u32; 3] = [0, 20_000, 100_000];
 /// workers are respawned and their shards requeued — so every response is
 /// asserted bit-identical to the fault-free baseline and zero requests fail;
 /// the rows record what the absorption *costs* in throughput and p99.
+///
+/// After the clean row comes an `"armed-idle"` row: the top rate's
+/// schedule targeted at a layer past the network, which fires nothing. Its
+/// `throughput_vs_clean` is the armed injector's tax; the maskable rows'
+/// further drop is the recovery cost.
 pub fn fault_tolerance_bench(
     network: &Network,
     weights: &NetworkWeights,
@@ -1166,9 +1189,21 @@ pub fn fault_tolerance_bench(
     // one layer, and a shard-requeue cap exhaustion can burn one more
     // attempt — budget generously so masked faults never become failures.
     let max_retries = network.layers().len() as u32 + 3;
+    let spec_at = |rate_ppm: u32| FaultSpec::seeded(0xFA017 + rate_ppm as u64, rate_ppm, kinds);
+    let (clean_rate, fault_rates) = FAULT_SWEEP_RATES_PPM
+        .split_first()
+        .expect("the sweep has a clean rate");
+    // The armed-idle row is the top rate's schedule under a layer filter no
+    // layer matches.
+    let idle = FaultSpec {
+        layer: network.layers().len() as i64,
+        ..spec_at(fault_rates[fault_rates.len() - 1])
+    };
+    let mut schedules = vec![("clean", spec_at(*clean_rate)), ("armed-idle", idle)];
+    schedules.extend(fault_rates.iter().map(|&rate| ("maskable", spec_at(rate))));
     let mut rows: Vec<FaultToleranceRow> = Vec::new();
-    for &rate_ppm in &FAULT_SWEEP_RATES_PPM {
-        let spec = FaultSpec::seeded(0xFA017 + rate_ppm as u64, rate_ppm, kinds);
+    for (schedule, spec) in schedules {
+        let rate_ppm = spec.rate_ppm;
         let machine = GanaxMachine::new(
             GanaxConfig::paper()
                 .with_fault(spec)
@@ -1205,6 +1240,13 @@ pub fn fault_tolerance_bench(
         let stats = server.stats();
         assert_eq!(stats.failed, 0, "masked faults must not fail: {stats:?}");
         assert_eq!(stats.completed, n as u64);
+        if schedule == "armed-idle" {
+            assert_eq!(
+                (stats.retries, stats.respawns),
+                (0, 0),
+                "an armed schedule that targets no layer must fire nothing"
+            );
+        }
         latencies_ms.sort_by(f64::total_cmp);
         let throughput = n as f64 / elapsed;
         let p99 = percentile(&latencies_ms, 0.99);
@@ -1213,6 +1255,7 @@ pub fn fault_tolerance_bench(
             .map(|clean: &FaultToleranceRow| (clean.throughput_per_sec, clean.p99_latency_ms))
             .unwrap_or((throughput, p99));
         rows.push(FaultToleranceRow {
+            schedule: schedule.to_string(),
             rate_ppm,
             requests: n,
             retries: stats.retries,

@@ -489,13 +489,26 @@ impl GanaxConfig {
 /// FNV-1a offset basis — the seed of every fingerprint in the workspace.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// Folds `bytes` into an FNV-1a 64-bit hash in place. Shared by
 /// [`GanaxConfig::fingerprint`] and the network/weights fingerprint in
 /// [`crate::network`], so every plan-cache key component uses one hash.
 pub(crate) fn fnv1a64(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        *hash = hash.wrapping_mul(FNV_PRIME);
+    }
+}
+
+/// Folds the exact bit patterns of `values` into an FNV-1a-style 64-bit
+/// hash in place, one 32-bit word per step. Each step is a bijection of the
+/// running state, so changing any one word always changes the result.
+pub(crate) fn fnv1a64_f32s(hash: &mut u64, values: &[f32]) {
+    for &v in values {
+        *hash ^= u64::from(v.to_bits());
+        *hash = hash.wrapping_mul(FNV_PRIME);
     }
 }
 

@@ -74,7 +74,7 @@ use std::time::{Duration, Instant};
 
 use ganax_energy::{EnergyBreakdown, EnergyModel, EventCounts};
 use ganax_models::{Layer, LayerOp, Network};
-use ganax_sim::{FaultInjector, ProcessingEngine, WorkerFault, STALL_MILLIS};
+use ganax_sim::{FaultInjector, FaultKind, ProcessingEngine, WorkerFault, STALL_MILLIS};
 use ganax_tensor::Tensor;
 
 use crate::config::IntegrityMode;
@@ -460,8 +460,12 @@ fn run_resident_shard(
         injector: &task.injector,
         layer_index: task.layer_index,
     };
-    // Fault-free shards skip every per-chunk fault query.
-    let faults_on = task.injector.is_enabled();
+    // Settle once per shard which site families can fire in this layer; a
+    // family that cannot takes the clean path and asks no per-site question.
+    let input_faults = faults.may_fire(FaultKind::INPUT_SITES);
+    let weight_faults = faults.may_fire(FaultKind::WEIGHT_SITES);
+    let emit_faults = faults.may_fire(FaultKind::EMIT_SITES);
+    let faults_on = input_faults || weight_faults || emit_faults;
     // Worker-fault sites are keyed `(layer, row)` — decide them for every row
     // the shard owns before any work. A panic here is genuine: it unwinds
     // into the worker's `catch_unwind` so supervision, respawn and requeue
@@ -494,7 +498,7 @@ fn run_resident_shard(
     // `ky` — rebuilt per tap, reusing the allocation.
     let mut instances: Vec<(usize, usize, usize)> = Vec::new();
     // Per chunk of the current dispatch, its dispatch ordinal base (filled
-    // only when faults are armed).
+    // only when some site family can fire).
     let mut ordinals: Vec<u64> = Vec::new();
 
     for ky in 0..plan.kernel_h {
@@ -560,6 +564,9 @@ fn run_resident_shard(
                                 input_row.len(),
                                 sub,
                             );
+                            if !input_faults {
+                                continue;
+                            }
                             // Each chunk's piece keeps the chunk's own
                             // input-fault sites.
                             for (&idx, &ordinal) in dispatch.chunks.iter().zip(&ordinals) {
@@ -586,7 +593,7 @@ fn run_resident_shard(
                             co0,
                             ci,
                             ky,
-                            faults_on.then_some((faults, ordinals.as_slice())),
+                            weight_faults.then_some((faults, ordinals.as_slice())),
                         );
                         for (b, &(e, slot, _iy)) in block.iter().enumerate() {
                             let produced = retire_group(
@@ -601,7 +608,7 @@ fn run_resident_shard(
                                 (e * rows.len() + slot) * row_stride + co0 * width + dispatch.slot;
                             for (k, slots) in produced.chunks_exact(dispatch.cols).enumerate() {
                                 let out = &mut buffer[base + k * width..][..dispatch.cols];
-                                if faults_on {
+                                if emit_faults {
                                     emit_faulty(
                                         plan,
                                         dispatch,
@@ -1818,6 +1825,147 @@ mod tests {
                 .unwrap();
             assert_eq!(run, reference, "{threads}-thread recovered layer");
             assert_eq!((engine.respawns(), engine.requeued_shards()), (1, 1));
+        }
+    }
+
+    /// A two-layer network whose layers both run on the PE array.
+    fn two_layer_network() -> Network {
+        NetworkBuilder::new("targeted", Shape::new_2d(2, 4, 6))
+            .tconv(
+                "up",
+                3,
+                ConvParams::transposed_2d(4, 2, 1),
+                Activation::None,
+            )
+            .conv("refine", 2, ConvParams::conv_2d(3, 1, 1), Activation::None)
+            .build()
+            .unwrap()
+    }
+
+    /// Runs `compiled` layer by layer through the pool in one fault epoch,
+    /// with no non-finite guard, so a poisoned output stays observable:
+    /// every layer's output plus the total counters.
+    fn unguarded_chain(
+        engine: &InferenceEngine,
+        compiled: &CompiledNetwork,
+        input: &Tensor,
+    ) -> (Vec<Tensor>, EventCounts) {
+        engine.injector.begin_epoch();
+        let mut current = Arc::new(input.clone());
+        let mut outputs = Vec::new();
+        let mut counts = EventCounts::default();
+        for (i, layer) in compiled.network.layers().iter().enumerate() {
+            let CompiledLayer::Machine {
+                layer: shared,
+                plan,
+            } = &compiled.layers[i]
+            else {
+                panic!("layer {i} must run on the PE array");
+            };
+            let inputs = Arc::new(vec![Arc::clone(&current)]);
+            let mut run = engine.run_layer(shared, plan, i, inputs).unwrap();
+            counts += run.counts;
+            let mut out = run.outputs.pop().unwrap();
+            finish_layer_output(layer, &mut out, compiled.weights.bias(i));
+            outputs.push(out.clone());
+            current = Arc::new(out);
+        }
+        (outputs, counts)
+    }
+
+    /// A schedule that uses every targeting filter — one layer, one output
+    /// row and a dispatch-ordinal window — keeps its exact fault sites: the
+    /// FNV-1a fingerprint of the (poisoned) output's f32 bits, the counters
+    /// and the fired-fault count per pool size are pinned. Weight sites
+    /// ignore the row filter and fire once per weight load, so their count
+    /// depends on the pool size while the corruption does not.
+    #[test]
+    fn targeted_schedules_keep_their_fault_sites() {
+        let net = two_layer_network();
+        let weights = toy_weights(&net, 101);
+        let input = Tensor::deterministic(net.input_shape(), 103);
+        let spec = FaultSpec {
+            layer: 1,
+            row: 3,
+            window_start: 6,
+            window_len: 24,
+            ..FaultSpec::seeded(
+                0x7A26,
+                200_000,
+                FaultKind::NAN_POISON
+                    | FaultKind::INPUT_FLIP
+                    | FaultKind::WEIGHT_FLIP
+                    | FaultKind::STUCK_LANE,
+            )
+        };
+        let clean_engine = InferenceEngine::new(GanaxMachine::paper(), 1);
+        let clean_compiled = clean_engine.compile(&net, &weights).unwrap();
+        let (clean, clean_counts) = unguarded_chain(&clean_engine, &clean_compiled, &input);
+        let pinned_counts = EventCounts {
+            alu_ops: 6336,
+            register_file_reads: 12672,
+            register_file_writes: 2592,
+            inter_pe_transfers: 2592,
+            local_uop_fetches: 5184,
+            ..EventCounts::default()
+        };
+        assert_eq!(clean_counts, pinned_counts, "clean counts");
+        for (pool, fired) in [(1, 124), (2, 188), (5, 380)] {
+            let engine = InferenceEngine::new(faulty_machine(spec), pool);
+            let compiled = engine.compile(&net, &weights).unwrap();
+            let (outputs, counts) = unguarded_chain(&engine, &compiled, &input);
+            assert_eq!(outputs[0], clean[0], "pool {pool}: layer 0 is not targeted");
+            let last = &outputs[1];
+            let (height, width) = (last.shape().height, last.shape().width);
+            let poisoned: Vec<usize> = (0..last.len())
+                .filter(|&i| last.data()[i].is_nan())
+                .map(|i| i / width % height)
+                .collect();
+            assert!(!poisoned.is_empty(), "pool {pool}: the poison must fire");
+            assert!(
+                poisoned.iter().all(|&row| row == 3),
+                "pool {pool}: poison outside the targeted row"
+            );
+            let mut hash = crate::config::FNV_OFFSET;
+            for value in last.data() {
+                crate::config::fnv1a64(&mut hash, &value.to_bits().to_le_bytes());
+            }
+            assert_eq!(
+                hash, 0x92a9_f5d4_62af_59be,
+                "pool {pool}: output fingerprint"
+            );
+            assert_eq!(counts, pinned_counts, "pool {pool}: counts");
+            assert_eq!(engine.injected_faults(), fired, "pool {pool}: fired faults");
+        }
+    }
+
+    /// An armed schedule whose filters exclude every site — here a layer
+    /// past the network — runs bit-identical to a clean machine and fires
+    /// nothing, at every pool size.
+    #[test]
+    fn a_schedule_that_targets_no_site_runs_clean() {
+        let net = two_layer_network();
+        let weights = toy_weights(&net, 107);
+        let input = Tensor::deterministic(net.input_shape(), 109);
+        let spec = FaultSpec {
+            layer: net.layers().len() as i64,
+            ..FaultSpec::seeded(0x7A27, 1_000_000, FaultKind::ALL)
+        };
+        let clean_engine = InferenceEngine::new(GanaxMachine::paper(), 1);
+        let clean_compiled = clean_engine.compile(&net, &weights).unwrap();
+        let clean = clean_engine.execute(&clean_compiled, &input).unwrap();
+        for pool in [1, 2, 5] {
+            let engine = InferenceEngine::new(faulty_machine(spec), pool);
+            let compiled = engine.compile(&net, &weights).unwrap();
+            let run = engine.execute(&compiled, &input).unwrap();
+            assert_eq!(run.output, clean.output, "pool {pool}: output");
+            assert_eq!(
+                run.total_counts(),
+                clean.total_counts(),
+                "pool {pool}: counts"
+            );
+            assert_eq!(engine.injected_faults(), 0, "pool {pool}: fired faults");
+            assert_eq!(engine.respawns(), 0, "pool {pool}: respawns");
         }
     }
 

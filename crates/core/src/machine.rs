@@ -685,19 +685,20 @@ pub(crate) struct ShardFaults<'a> {
 }
 
 impl ShardFaults<'_> {
+    /// Whether any kind in `kinds` (one site family, such as
+    /// [`FaultKind::INPUT_SITES`](ganax_sim::FaultKind::INPUT_SITES)) can
+    /// fire in this layer. A family that cannot takes the clean path.
+    pub(crate) fn may_fire(&self, kinds: u32) -> bool {
+        self.injector.may_fire(kinds, self.layer_index)
+    }
+
     /// Applies scheduled input-operand corruption to one gathered stream.
     /// `ordinal` is the chunk's base dispatch ordinal (see
     /// [`dispatch_ordinal_base`]); the stream is shared by every channel
     /// group of the chunk, so the site excludes the channel coordinate.
     pub(crate) fn corrupt_input_stream(&self, row: usize, ordinal: u64, buf: &mut [f32]) {
-        if !self.injector.is_enabled() {
-            return;
-        }
-        for (element, value) in buf.iter_mut().enumerate() {
-            *value = self
-                .injector
-                .corrupt_input(self.layer_index, row, ordinal, element, *value);
-        }
+        self.injector
+            .corrupt_inputs(self.layer_index, row, ordinal, buf);
     }
 
     /// Applies scheduled weight corruption to a staged weight slice whose
@@ -705,14 +706,8 @@ impl ShardFaults<'_> {
     /// at `ordinal`. Weight sites carry no row coordinate — the same block
     /// serves many rows — so every load corrupts identically.
     fn corrupt_weights(&self, ordinal: u64, first: usize, buf: &mut [f32]) {
-        if !self.injector.is_enabled() {
-            return;
-        }
-        for (element, value) in buf.iter_mut().enumerate() {
-            *value =
-                self.injector
-                    .corrupt_weight(self.layer_index, ordinal, first + element, *value);
-        }
+        self.injector
+            .corrupt_weights(self.layer_index, ordinal, first, buf);
     }
 
     /// Decides whether the worker processing output row `row` is disturbed.

@@ -188,17 +188,11 @@ impl NetworkWeights {
         fold(&mut hash, format!("{:?}", network.input_shape()).as_bytes());
         for (layer, weight) in network.layers().iter().zip(self.weights.iter()) {
             fold(&mut hash, format!("{layer:?}").as_bytes());
-            for &value in weight.data() {
-                fold(&mut hash, &value.to_bits().to_le_bytes());
-            }
+            crate::config::fnv1a64_f32s(&mut hash, weight.data());
         }
         for bias in &self.biases {
             match bias {
-                Some(values) => {
-                    for &value in values {
-                        fold(&mut hash, &value.to_bits().to_le_bytes());
-                    }
-                }
+                Some(values) => crate::config::fnv1a64_f32s(&mut hash, values),
                 None => fold(&mut hash, b"-"),
             }
         }

@@ -1215,6 +1215,59 @@ mod tests {
         assert!(stats.cache_hits >= 3);
     }
 
+    /// The plan-cache key separates every single-bit change of any weight or
+    /// bias, and re-registering identical weights hits the cached plan.
+    #[test]
+    fn fingerprints_separate_every_weight_bit_and_reregistration_hits_the_cache() {
+        let network = toy_network("toy-fp", 2);
+        let weights = toy_weights(&network, 13)
+            .with_bias(0, vec![0.25, -0.5])
+            .unwrap();
+        let base = weights.fingerprint(&network);
+        let tensors: Vec<Tensor> = (0..weights.len())
+            .map(|i| weights.weight(i).clone())
+            .collect();
+        for layer in 0..tensors.len() {
+            for index in 0..tensors[layer].len() {
+                for bit in 0..32 {
+                    let mut flipped = tensors.clone();
+                    let value = &mut flipped[layer].data_mut()[index];
+                    *value = f32::from_bits(value.to_bits() ^ (1 << bit));
+                    let other = NetworkWeights::new(&network, flipped)
+                        .unwrap()
+                        .with_bias(0, vec![0.25, -0.5])
+                        .unwrap();
+                    assert_ne!(
+                        other.fingerprint(&network),
+                        base,
+                        "layer {layer}, weight {index}, bit {bit}"
+                    );
+                }
+            }
+        }
+        let bias = weights.bias(0).unwrap().to_vec();
+        for index in 0..bias.len() {
+            for bit in 0..32 {
+                let mut flipped = bias.clone();
+                flipped[index] = f32::from_bits(flipped[index].to_bits() ^ (1 << bit));
+                let other = toy_weights(&network, 13).with_bias(0, flipped).unwrap();
+                assert_ne!(other.fingerprint(&network), base, "bias {index}, bit {bit}");
+            }
+        }
+        assert_ne!(
+            toy_weights(&network, 13).fingerprint(&network),
+            base,
+            "no bias"
+        );
+
+        let server = toy_server(1, ServeConfig::default());
+        server.register(&network, &weights).unwrap();
+        server.register(&network, &weights.clone()).unwrap();
+        let stats = server.stats();
+        assert_eq!(stats.plan_builds, 1, "the second registration compiled");
+        assert_eq!(stats.cache_hits, 1);
+    }
+
     #[test]
     fn rejects_foreign_handles_and_bad_shapes() {
         let network = toy_network("toy-b", 1);

@@ -20,6 +20,16 @@
 //! remains: the *fired map*, which remembers the execution epoch in which a
 //! site first fired.
 //!
+//! **Cost model.** An armed injector costs what it can fire, not what it
+//! visits. Callers settle per layer, with [`FaultInjector::may_fire`], which
+//! site families ([`FaultKind::INPUT_SITES`], [`FaultKind::WEIGHT_SITES`],
+//! [`FaultKind::EMIT_SITES`]) can fire at all, and skip the rest. Within a
+//! live family each decision splits in two: per *stream* — the sites of one
+//! kind sharing `(layer, row, ordinal)` — the kind mask and the targeting
+//! filters run once and fold the coordinates into the site hash's prefix;
+//! per *element* a live site then costs one mix and one compare. Only a
+//! site that fires takes the fired-map lock.
+//!
 //! * **Corruption kinds** (bit flips, NaN poison, stuck lanes,
 //!   dropped/duplicated µops) fire only during the epoch in which their site
 //!   was first seen. Within one execution — including shards recomputed after
@@ -79,6 +89,14 @@ impl FaultKind {
         | Self::DUP_UOP;
     /// The kinds that disturb workers rather than data (fire once per site).
     pub const WORKER: u32 = Self::WORKER_PANIC | Self::WORKER_STALL;
+    /// The kinds decided at gathered input operands
+    /// ([`FaultInjector::corrupt_inputs`]).
+    pub const INPUT_SITES: u32 = Self::NAN_POISON | Self::INPUT_FLIP;
+    /// The kinds decided at staged weight operands
+    /// ([`FaultInjector::corrupt_weights`]).
+    pub const WEIGHT_SITES: u32 = Self::WEIGHT_FLIP;
+    /// The kinds decided at emitted lanes ([`FaultInjector::emit_fault`]).
+    pub const EMIT_SITES: u32 = Self::STUCK_LANE | Self::DROP_UOP | Self::DUP_UOP;
 }
 
 /// How long a [`FaultKind::WORKER_STALL`] fault suspends its worker.
@@ -107,7 +125,7 @@ pub struct FaultSpec {
     /// coordinate (weight streams) ignore this filter.
     pub row: i64,
     /// First dispatch ordinal of the targeted cycle window (see
-    /// [`FaultInjector::corrupt_input`] for the ordinal definition).
+    /// [`FaultInjector::corrupt_inputs`] for the ordinal definition).
     pub window_start: u64,
     /// Length of the dispatch-ordinal window; 0 means unbounded.
     pub window_len: u64,
@@ -213,6 +231,16 @@ pub enum WorkerFault {
     Stall,
 }
 
+/// The sites of one fault kind that share `(layer, row, ordinal)` and
+/// differ only in their element: the targeting filters passed, and the site
+/// hash's prefix over `(seed, kind, layer, row, ordinal)` is folded once.
+#[derive(Debug, Clone, Copy)]
+struct FaultStream {
+    prefix: u64,
+    /// Worker kinds fire once ever; corruption kinds once per epoch.
+    once_ever: bool,
+}
+
 /// Turns a [`FaultSpec`] into deterministic per-site decisions.
 ///
 /// Sharable across threads (`&self` queries); one injector per *execution
@@ -263,68 +291,50 @@ impl FaultInjector {
         self.injected.load(Ordering::Relaxed)
     }
 
-    /// Possibly corrupts one gathered input operand.
+    /// Whether any kind in `kinds` can fire anywhere in machine layer
+    /// `layer`: the kind mask, the rate and the layer filter. A caller that
+    /// gets `false` skips that site family for the whole layer.
+    pub fn may_fire(&self, kinds: u32, layer: usize) -> bool {
+        self.is_enabled() && self.spec.kinds & kinds != 0 && self.targets(layer, None, None)
+    }
+
+    /// Possibly corrupts a gathered input stream in place: element `e` of
+    /// `buf` is the input site `(layer, row, ordinal, e)`. NaN poison is
+    /// decided first; a site it does not fire at may take a mantissa flip.
     ///
     /// `ordinal` is the dispatch ordinal of the work unit —
     /// `((ky * ci_count + ci) * n_chunks + chunk) * co_count`, plus the first
     /// channel of the chunk's channel group for weight and emit sites — a
     /// pure function of the layer plan, identical at every thread count.
-    /// `element` indexes the operand within the gathered stream.
-    pub fn corrupt_input(
-        &self,
-        layer: usize,
-        row: usize,
-        ordinal: u64,
-        element: usize,
-        value: f32,
-    ) -> f32 {
-        if !self.is_enabled() {
-            return value;
+    pub fn corrupt_inputs(&self, layer: usize, row: usize, ordinal: u64, buf: &mut [f32]) {
+        let nan = self.stream(FaultKind::NAN_POISON, layer, Some(row), Some(ordinal));
+        let flip = self.stream(FaultKind::INPUT_FLIP, layer, Some(row), Some(ordinal));
+        if nan.is_none() && flip.is_none() {
+            return;
         }
-        if self
-            .fire(
-                FaultKind::NAN_POISON,
-                layer,
-                Some(row),
-                Some(ordinal),
-                element as u64,
-                false,
-            )
-            .is_some()
-        {
-            return f32::NAN;
-        }
-        match self.fire(
-            FaultKind::INPUT_FLIP,
-            layer,
-            Some(row),
-            Some(ordinal),
-            element as u64,
-            false,
-        ) {
-            Some(h) => flip_mantissa(value, h),
-            None => value,
+        for (element, value) in buf.iter_mut().enumerate() {
+            let element = element as u64;
+            if nan.is_some_and(|s| self.fire(s, element).is_some()) {
+                *value = f32::NAN;
+            } else if let Some(h) = flip.and_then(|s| self.fire(s, element)) {
+                *value = flip_mantissa(*value, h);
+            }
         }
     }
 
-    /// Possibly corrupts one staged weight operand. Weight sites carry no
-    /// row coordinate (the stream is shared across rows — see
+    /// Possibly corrupts a staged weight slice in place: element `e` of
+    /// `buf` is the weight site `(layer, ordinal, first + e)`. Weight sites
+    /// carry no row coordinate (the stream is shared across rows — see
     /// [`FaultKind::WEIGHT_FLIP`]), so every load of the same stream
     /// corrupts identically.
-    pub fn corrupt_weight(&self, layer: usize, ordinal: u64, element: usize, value: f32) -> f32 {
-        if !self.is_enabled() {
-            return value;
-        }
-        match self.fire(
-            FaultKind::WEIGHT_FLIP,
-            layer,
-            None,
-            Some(ordinal),
-            element as u64,
-            false,
-        ) {
-            Some(h) => flip_mantissa(value, h),
-            None => value,
+    pub fn corrupt_weights(&self, layer: usize, ordinal: u64, first: usize, buf: &mut [f32]) {
+        let Some(flip) = self.stream(FaultKind::WEIGHT_FLIP, layer, None, Some(ordinal)) else {
+            return;
+        };
+        for (element, value) in buf.iter_mut().enumerate() {
+            if let Some(h) = self.fire(flip, (first + element) as u64) {
+                *value = flip_mantissa(*value, h);
+            }
         }
     }
 
@@ -338,99 +348,81 @@ impl FaultInjector {
         ordinal: u64,
         lane: usize,
     ) -> Option<EmitFault> {
-        if !self.is_enabled() {
-            return None;
-        }
-        let lane = lane as u64;
-        if self
-            .fire(
-                FaultKind::STUCK_LANE,
-                layer,
-                Some(row),
-                Some(ordinal),
-                lane,
-                false,
-            )
-            .is_some()
-        {
-            return Some(EmitFault::StuckLane);
-        }
-        if self
-            .fire(
-                FaultKind::DROP_UOP,
-                layer,
-                Some(row),
-                Some(ordinal),
-                lane,
-                false,
-            )
-            .is_some()
-        {
-            return Some(EmitFault::DroppedUop);
-        }
-        if self
-            .fire(
-                FaultKind::DUP_UOP,
-                layer,
-                Some(row),
-                Some(ordinal),
-                lane,
-                false,
-            )
-            .is_some()
-        {
-            return Some(EmitFault::DuplicatedUop);
-        }
-        None
+        [
+            (FaultKind::STUCK_LANE, EmitFault::StuckLane),
+            (FaultKind::DROP_UOP, EmitFault::DroppedUop),
+            (FaultKind::DUP_UOP, EmitFault::DuplicatedUop),
+        ]
+        .into_iter()
+        .find(|&(kind, _)| {
+            self.stream(kind, layer, Some(row), Some(ordinal))
+                .is_some_and(|s| self.fire(s, lane as u64).is_some())
+        })
+        .map(|(_, fault)| fault)
     }
 
     /// Decides whether the worker about to run a shard of `layer` anchored
     /// at output row `row` is disturbed. Worker sites fire **once ever**
     /// (unless `persistent`), so a requeued shard completes.
     pub fn worker_fault(&self, layer: usize, row: usize) -> Option<WorkerFault> {
-        if !self.is_enabled() {
-            return None;
-        }
-        if self
-            .fire(FaultKind::WORKER_PANIC, layer, Some(row), None, 0, true)
-            .is_some()
-        {
-            return Some(WorkerFault::Panic);
-        }
-        if self
-            .fire(FaultKind::WORKER_STALL, layer, Some(row), None, 0, true)
-            .is_some()
-        {
-            return Some(WorkerFault::Stall);
-        }
-        None
+        [
+            (FaultKind::WORKER_PANIC, WorkerFault::Panic),
+            (FaultKind::WORKER_STALL, WorkerFault::Stall),
+        ]
+        .into_iter()
+        .find(|&(kind, _)| {
+            self.stream(kind, layer, Some(row), None)
+                .is_some_and(|s| self.fire(s, 0).is_some())
+        })
+        .map(|(_, fault)| fault)
     }
 
-    /// The core decision: does `kind` fire at this site? Returns the site's
-    /// mixed hash (for deriving fault parameters such as the flipped bit)
-    /// when it does.
-    fn fire(
+    /// The per-stream half of a decision: applies the kind mask and the
+    /// layer, row and window filters once for every site of `kind` at
+    /// `(layer, row, ordinal)`, and folds those coordinates into the site
+    /// hash's prefix. `None` when no such site can fire.
+    fn stream(
         &self,
         kind: u32,
         layer: usize,
         row: Option<usize>,
         ordinal: Option<u64>,
-        element: u64,
-        once_ever: bool,
-    ) -> Option<u64> {
-        if self.spec.kinds & kind == 0 || !self.targets(layer, row, ordinal) {
+    ) -> Option<FaultStream> {
+        if !self.is_enabled() || self.spec.kinds & kind == 0 || !self.targets(layer, row, ordinal) {
             return None;
         }
-        let h = self.site_hash(
-            kind,
+        let mut prefix = self.spec.seed ^ 0x9e37_79b9_7f4a_7c15;
+        for v in [
+            u64::from(kind),
             layer as u64,
             row.map_or(u64::MAX, |r| r as u64),
             ordinal.unwrap_or(u64::MAX),
-            element,
-        );
+        ] {
+            prefix = mix(prefix ^ v);
+        }
+        Some(FaultStream {
+            prefix,
+            once_ever: kind & FaultKind::WORKER != 0,
+        })
+    }
+
+    /// The per-element half of a decision: does the site `element` of
+    /// `stream` fire? One mix and one compare; returns the site's mixed
+    /// hash (for deriving fault parameters such as the flipped bit) when it
+    /// does.
+    #[inline]
+    fn fire(&self, stream: FaultStream, element: u64) -> Option<u64> {
+        let h = mix(stream.prefix ^ element);
         if h % 1_000_000 >= u64::from(self.spec.rate_ppm) {
             return None;
         }
+        self.fired(h, stream.once_ever)
+    }
+
+    /// The firing branch: consults the fired map and counts the fault.
+    #[cold]
+    #[inline(never)]
+    fn fired(&self, h: u64, once_ever: bool) -> Option<u64> {
         if !self.arm(h, once_ever) {
             return None;
         }
@@ -476,15 +468,6 @@ impl FaultInjector {
             Entry::Occupied(slot) => !once_ever && *slot.get() == epoch,
         }
     }
-
-    /// Hashes `(seed, kind, site)` into a uniform 64-bit value.
-    fn site_hash(&self, kind: u32, layer: u64, row: u64, ordinal: u64, element: u64) -> u64 {
-        let mut h = self.spec.seed ^ 0x9e37_79b9_7f4a_7c15;
-        for v in [u64::from(kind), layer, row, ordinal, element] {
-            h = mix(h ^ v);
-        }
-        h
-    }
 }
 
 /// SplitMix64 finalizer — the workspace's standard bit mixer.
@@ -504,16 +487,31 @@ fn flip_mantissa(value: f32, h: u64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spec(rate_ppm: u32, kinds: u32) -> FaultSpec {
         FaultSpec::seeded(0xFA_17, rate_ppm, kinds)
+    }
+
+    /// Element `element` of the input stream `(layer, row, ordinal)` holding
+    /// `value` at every element, after [`FaultInjector::corrupt_inputs`].
+    fn corrupt_input(
+        inj: &FaultInjector,
+        (layer, row, ordinal): (usize, usize, u64),
+        element: usize,
+        value: f32,
+    ) -> f32 {
+        let mut buf = vec![value; element + 1];
+        inj.corrupt_inputs(layer, row, ordinal, &mut buf);
+        buf[element]
     }
 
     #[test]
     fn disabled_spec_never_fires() {
         let inj = FaultInjector::disabled();
         assert!(!inj.is_enabled());
-        assert_eq!(inj.corrupt_input(0, 0, 0, 0, 1.5), 1.5);
+        assert!(!inj.may_fire(FaultKind::ALL, 0));
+        assert_eq!(corrupt_input(&inj, (0, 0, 0), 0, 1.5), 1.5);
         assert_eq!(inj.emit_fault(0, 0, 0, 0), None);
         assert_eq!(inj.worker_fault(0, 0), None);
         assert_eq!(inj.injected_faults(), 0);
@@ -526,33 +524,30 @@ mod tests {
         let b = FaultInjector::new(s);
         a.begin_epoch();
         b.begin_epoch();
-        let mut sites: Vec<(usize, usize, u64, usize)> = Vec::new();
+        let mut streams: Vec<(usize, usize, u64)> = Vec::new();
         for layer in 0..3 {
             for row in 0..4 {
                 for ordinal in 0..8 {
-                    for element in 0..4 {
-                        sites.push((layer, row, ordinal, element));
-                    }
+                    streams.push((layer, row, ordinal));
                 }
             }
         }
-        let forward: Vec<f32> = sites
-            .iter()
-            .map(|&(l, r, o, e)| a.corrupt_input(l, r, o, e, 1.0))
-            .collect();
-        let reverse: Vec<f32> = sites
-            .iter()
-            .rev()
-            .map(|&(l, r, o, e)| b.corrupt_input(l, r, o, e, 1.0))
-            .collect();
-        let reverse: Vec<f32> = reverse.into_iter().rev().collect();
-        for (x, y) in forward.iter().zip(reverse.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        let corrupt = |inj: &FaultInjector, &(l, r, o): &(usize, usize, u64)| {
+            let mut buf = [1.0f32; 4];
+            inj.corrupt_inputs(l, r, o, &mut buf);
+            buf
+        };
+        let forward: Vec<[f32; 4]> = streams.iter().map(|site| corrupt(&a, site)).collect();
+        let mut reverse: Vec<[f32; 4]> =
+            streams.iter().rev().map(|site| corrupt(&b, site)).collect();
+        reverse.reverse();
+        let bits =
+            |v: &[[f32; 4]]| -> Vec<u32> { v.iter().flatten().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(&forward), bits(&reverse));
         assert!(
-            forward.iter().any(|v| v.to_bits() != 1.0f32.to_bits()),
+            bits(&forward).iter().any(|&x| x != 1.0f32.to_bits()),
             "a 20% rate over {} sites fired nothing",
-            sites.len()
+            4 * streams.len()
         );
     }
 
@@ -560,12 +555,12 @@ mod tests {
     fn corruption_fires_within_an_epoch_and_clears_on_the_next() {
         let inj = FaultInjector::new(spec(1_000_000, FaultKind::NAN_POISON));
         inj.begin_epoch();
-        assert!(inj.corrupt_input(0, 0, 0, 0, 1.0).is_nan());
+        assert!(corrupt_input(&inj, (0, 0, 0), 0, 1.0).is_nan());
         // Same epoch (a requeued shard recomputing): identical corruption.
-        assert!(inj.corrupt_input(0, 0, 0, 0, 1.0).is_nan());
+        assert!(corrupt_input(&inj, (0, 0, 0), 0, 1.0).is_nan());
         // New epoch (a retry): clean.
         inj.begin_epoch();
-        assert_eq!(inj.corrupt_input(0, 0, 0, 0, 1.0), 1.0);
+        assert_eq!(corrupt_input(&inj, (0, 0, 0), 0, 1.0), 1.0);
     }
 
     #[test]
@@ -585,10 +580,10 @@ mod tests {
         s.persistent = true;
         let inj = FaultInjector::new(s);
         inj.begin_epoch();
-        assert!(inj.corrupt_input(0, 0, 0, 0, 2.0).is_nan());
+        assert!(corrupt_input(&inj, (0, 0, 0), 0, 2.0).is_nan());
         assert_eq!(inj.worker_fault(0, 0), Some(WorkerFault::Panic));
         inj.begin_epoch();
-        assert!(inj.corrupt_input(0, 0, 0, 0, 2.0).is_nan());
+        assert!(corrupt_input(&inj, (0, 0, 0), 0, 2.0).is_nan());
         assert_eq!(inj.worker_fault(0, 0), Some(WorkerFault::Panic));
     }
 
@@ -601,11 +596,14 @@ mod tests {
         s.window_len = 5;
         let inj = FaultInjector::new(s);
         inj.begin_epoch();
-        assert!(inj.corrupt_input(1, 2, 12, 0, 1.0).is_nan());
-        assert_eq!(inj.corrupt_input(0, 2, 12, 0, 1.0), 1.0, "wrong layer");
-        assert_eq!(inj.corrupt_input(1, 3, 12, 0, 1.0), 1.0, "wrong row");
-        assert_eq!(inj.corrupt_input(1, 2, 9, 0, 1.0), 1.0, "before window");
-        assert_eq!(inj.corrupt_input(1, 2, 15, 0, 1.0), 1.0, "after window");
+        assert!(inj.may_fire(FaultKind::INPUT_SITES, 1));
+        assert!(!inj.may_fire(FaultKind::INPUT_SITES, 0), "wrong layer");
+        assert!(!inj.may_fire(FaultKind::EMIT_SITES, 1), "unarmed kinds");
+        assert!(corrupt_input(&inj, (1, 2, 12), 0, 1.0).is_nan());
+        assert_eq!(corrupt_input(&inj, (0, 2, 12), 0, 1.0), 1.0, "wrong layer");
+        assert_eq!(corrupt_input(&inj, (1, 3, 12), 0, 1.0), 1.0, "wrong row");
+        assert_eq!(corrupt_input(&inj, (1, 2, 9), 0, 1.0), 1.0, "before window");
+        assert_eq!(corrupt_input(&inj, (1, 2, 15), 0, 1.0), 1.0, "after window");
     }
 
     #[test]
@@ -614,21 +612,28 @@ mod tests {
         s.row = 3;
         let inj = FaultInjector::new(s);
         inj.begin_epoch();
-        let corrupted = inj.corrupt_weight(0, 7, 1, 1.0);
+        let load = || {
+            let mut buf = [1.0f32; 2];
+            inj.corrupt_weights(0, 7, 0, &mut buf);
+            buf[1]
+        };
+        let corrupted = load();
         assert_ne!(corrupted.to_bits(), 1.0f32.to_bits());
-        // The same stream element corrupts identically on a later load.
-        assert_eq!(
-            inj.corrupt_weight(0, 7, 1, 1.0).to_bits(),
-            corrupted.to_bits()
-        );
+        // The same stream element corrupts identically on a later load, and
+        // a slice starting at that element sees it as its first word.
+        assert_eq!(load().to_bits(), corrupted.to_bits());
+        let mut tail = [1.0f32];
+        inj.corrupt_weights(0, 7, 1, &mut tail);
+        assert_eq!(tail[0].to_bits(), corrupted.to_bits());
     }
 
     #[test]
     fn mantissa_flips_stay_finite() {
         let inj = FaultInjector::new(spec(1_000_000, FaultKind::INPUT_FLIP));
         inj.begin_epoch();
-        for element in 0..64 {
-            let v = inj.corrupt_input(0, 0, 0, element, 3.25);
+        let mut buf = [3.25f32; 64];
+        inj.corrupt_inputs(0, 0, 0, &mut buf);
+        for (element, v) in buf.iter().enumerate() {
             assert!(v.is_finite(), "element {element} produced {v}");
         }
     }
@@ -662,5 +667,137 @@ mod tests {
         let plan = FaultPlan::new(spec(10, FaultKind::ALL)).expect("valid spec");
         assert_eq!(plan.spec(), spec(10, FaultKind::ALL));
         assert!(plan.injector().is_enabled());
+    }
+
+    /// The per-site decision the stream split replaced, kept as the oracle
+    /// of [`FaultInjector::stream`] + [`FaultInjector::fire`]: every query
+    /// re-applies the kind mask and the filters and hashes all five site
+    /// coordinates.
+    struct PerSite {
+        spec: FaultSpec,
+        epoch: u64,
+        fired: HashMap<u64, u64>,
+        injected: u64,
+    }
+
+    impl PerSite {
+        fn fire(
+            &mut self,
+            kind: u32,
+            layer: usize,
+            row: Option<usize>,
+            ordinal: Option<u64>,
+            element: u64,
+        ) -> Option<u64> {
+            let s = self.spec;
+            let layer_ok = s.layer < 0 || s.layer as u64 == layer as u64;
+            let row_ok = row.is_none_or(|r| s.row < 0 || s.row as u64 == r as u64);
+            let window_ok = ordinal.is_none_or(|o| {
+                s.window_len == 0
+                    || (o >= s.window_start && o < s.window_start.saturating_add(s.window_len))
+            });
+            if s.kinds & kind == 0 || !layer_ok || !row_ok || !window_ok {
+                return None;
+            }
+            let mut h = s.seed ^ 0x9e37_79b9_7f4a_7c15;
+            for v in [
+                u64::from(kind),
+                layer as u64,
+                row.map_or(u64::MAX, |r| r as u64),
+                ordinal.unwrap_or(u64::MAX),
+                element,
+            ] {
+                h = mix(h ^ v);
+            }
+            if h % 1_000_000 >= u64::from(s.rate_ppm) {
+                return None;
+            }
+            if !s.persistent {
+                let once_ever = kind & FaultKind::WORKER != 0;
+                match self.fired.entry(h) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(self.epoch);
+                    }
+                    Entry::Occupied(slot) => {
+                        if once_ever || *slot.get() != self.epoch {
+                            return None;
+                        }
+                    }
+                }
+            }
+            self.injected += 1;
+            Some(mix(h))
+        }
+    }
+
+    /// `-1` (no filter) when `pick` is `none`, else `pick`.
+    fn filter(pick: u64, none: u64) -> i64 {
+        if pick == none {
+            -1
+        } else {
+            pick as i64
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Over random seeds, rates, kinds, filters and coordinates, the
+        /// hoisted decision (targeting and hash prefix once per stream, one
+        /// mix per element) equals the per-site decision: whether a site
+        /// fires, the mixed hash it fires with (so the flipped bit), and the
+        /// fired map's effect across two epochs and repeated queries.
+        #[test]
+        fn prop_hoisted_decisions_match_per_site_decisions(
+            seed in 0u64..u64::MAX,
+            rate_pick in 0u32..4,
+            rate in 0u32..1_000_001,
+            kinds in 0u32..256,
+            persistent in 0u8..2,
+            spec_layer in 0u64..4,
+            spec_row in 0u64..5,
+            window_start in 0u64..8,
+            window_len in 0u64..6,
+            kind_bit in 0u32..8,
+            layer in 0usize..3,
+            row in 0usize..5,
+            row_coord in 0u8..2,
+            ordinal in 0u64..12,
+            ordinal_coord in 0u8..2,
+            first in 0u64..100_000,
+            elements in 1u64..9,
+        ) {
+            // Half the cases fire at every surviving site; the rest draw
+            // from the full rate range, zero included.
+            let rate_ppm = if rate_pick < 2 { 1_000_000 } else { rate };
+            let spec = FaultSpec {
+                seed,
+                rate_ppm,
+                kinds,
+                persistent: persistent == 1,
+                layer: filter(spec_layer, 3),
+                row: filter(spec_row, 4),
+                window_start,
+                window_len,
+            };
+            let kind = 1u32 << kind_bit;
+            let row = (row_coord == 1).then_some(row);
+            let ordinal = (ordinal_coord == 1).then_some(ordinal);
+            let inj = FaultInjector::new(spec);
+            let mut oracle = PerSite { spec, epoch: 0, fired: HashMap::new(), injected: 0 };
+            for _ in 0..2 {
+                inj.begin_epoch();
+                oracle.epoch += 1;
+                let stream = inj.stream(kind, layer, row, ordinal);
+                for _ in 0..2 {
+                    for element in first..first + elements {
+                        let hoisted = stream.and_then(|s| inj.fire(s, element));
+                        let per_site = oracle.fire(kind, layer, row, ordinal, element);
+                        prop_assert_eq!(hoisted, per_site, "element {}", element);
+                    }
+                }
+            }
+            prop_assert_eq!(inj.injected_faults(), oracle.injected);
+        }
     }
 }
