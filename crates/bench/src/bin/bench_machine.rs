@@ -6,16 +6,14 @@
 //! cargo run --release -p ganax-bench --bin bench_machine -- --quick  # CI smoke
 //! cargo run --release -p ganax-bench --bin bench_machine -- --out path.json
 //! cargo run --release -p ganax-bench --bin bench_machine -- --threads 1,2,4,8
-//! GANAX_BENCH_THREADS=1,2,4 cargo run --release -p ganax-bench --bin bench_machine
 //! ```
 //!
 //! Each row records the wall-clock time of the seed single-step path, the
 //! burst-stepped serial fast path and the threaded fast path on one layer
 //! geometry, plus simulated-cycles-per-second, the resulting speedups, and a
-//! full sweep over the requested thread counts (`--threads` /
-//! `GANAX_BENCH_THREADS`, defaulting to `1,2,4,available`). The fast-path
-//! results are asserted bit-identical to the reference before any timing is
-//! reported.
+//! full sweep over the requested thread counts (`--threads`, defaulting to
+//! `1,2,4,available`). The fast-path results are asserted bit-identical to
+//! the reference before any timing is reported.
 
 use ganax_bench::{cli_out_path, cli_thread_counts, machine_bench, MachineBenchRow};
 use serde::Serialize;
@@ -36,11 +34,6 @@ struct BenchReport {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    // Profiling aid: loop only the serial fast path on the largest geometry.
-    if args.iter().any(|a| a == "--fast-only") {
-        ganax_bench::machine_fast_only_loop(quick);
-        return;
-    }
     let out_path = cli_out_path(&args, "BENCH_machine.json");
     let thread_counts = cli_thread_counts(&args);
 

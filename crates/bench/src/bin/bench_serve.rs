@@ -41,7 +41,8 @@
 //! with zero undetected escapes.
 //!
 //! Every warm, swept and batched run is asserted bit-identical to the cold
-//! run before its timing is reported.
+//! run before its timing is reported. The run also fails when the compiled
+//! plans outgrow 1.5× the raw weights of the layers they cover.
 
 use ganax_bench::{cli_out_path, cli_thread_counts, cli_value, serve_bench};
 
@@ -65,9 +66,12 @@ fn main() {
         report.warm_ms,
         report.speedup_warm_vs_cold,
     );
+    let plan_ratio = report.plan_bytes as f64 / report.raw_weight_bytes as f64;
     println!(
-        "compile {:.1} ms  warm plan {:.1} ms  {:.1}M cycles/s warm",
+        "compile {:.1} ms  plans {:.1} MB ({plan_ratio:.3}x the {:.1} MB of PE-array weights)  warm plan {:.1} ms  {:.1}M cycles/s warm",
         report.compile_ms,
+        report.plan_bytes as f64 / 1e6,
+        report.raw_weight_bytes as f64 / 1e6,
         report.warm_plan_ms,
         report.warm_cycles_per_sec / 1e6,
     );
@@ -147,14 +151,18 @@ fn main() {
     }
     if !integrity.corruption.is_empty() {
         println!(
-            "  corruption sweep: {} flips injected, {} detected ({:.1}% coverage), zero escapes",
-            integrity.flips_injected,
-            integrity.flips_detected,
-            integrity.detection_coverage * 100.0,
+            "  corruption sweep: {} flips injected, {} row slices flagged, zero escapes",
+            integrity.flips_injected, integrity.slices_flagged,
         );
     }
 
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, json + "\n").expect("BENCH_serve.json is writable");
     println!("wrote {out_path}");
+    // Asserted after the write, so an oversized plan still leaves its
+    // evidence on disk.
+    assert!(
+        plan_ratio <= 1.5,
+        "compiled plans hold {plan_ratio:.3}x the raw weights (limit 1.5x)"
+    );
 }

@@ -18,8 +18,8 @@
 
 use std::time::{Duration, Instant};
 
-use ganax::compare::{compare_all, geometric_mean, ModelComparison, SimulatedComparison};
-use ganax::serve::{ServeConfig, Server};
+use ganax::compare::{compare_all, geometric_mean, ModelComparison};
+use ganax::serve::{ModelHandle, ServeConfig, Server};
 use ganax::sweep::MachineSweepCell;
 use ganax::{
     CompiledNetwork, DesignSummary, FaultKind, FaultSpec, GanaxConfig, GanaxMachine,
@@ -177,10 +177,9 @@ pub fn figure11(comparisons: &[ModelComparison]) -> Vec<Fig11Row> {
 
 /// The worker-thread counts a bench sweeps.
 ///
-/// Resolution order: an explicit `--threads a,b,c` argument, the
-/// `GANAX_BENCH_THREADS` environment variable (same comma-separated format),
-/// then the default `[1, 2, 4, available_parallelism]`. The list is sorted
-/// and deduplicated. Forcing counts above the host's parallelism is
+/// An explicit `--threads a,b,c` spec, or the default `[1, 2, 4,
+/// available_parallelism]` when none (or a blank one) is given. The list is
+/// sorted and deduplicated. Forcing counts above the host's parallelism is
 /// deliberate — the schedulers are thread-count invariant, so oversubscribed
 /// sweeps still measure the sharding machinery even on single-core runners
 /// (where the old benches silently collapsed every row to `threads == 1`).
@@ -190,10 +189,7 @@ pub fn figure11(comparisons: &[ModelComparison]) -> Vec<Fig11Row> {
 /// l6`) instead of silently sweeping the default counts; a blank spec falls
 /// back to the default.
 pub fn bench_thread_counts(arg: Option<&str>) -> Vec<usize> {
-    let spec = arg
-        .map(str::to_string)
-        .or_else(|| std::env::var("GANAX_BENCH_THREADS").ok());
-    let mut counts: Vec<usize> = match spec.as_deref().map(str::trim).filter(|s| !s.is_empty()) {
+    let mut counts: Vec<usize> = match arg.map(str::trim).filter(|s| !s.is_empty()) {
         Some(list) => list
             .split(',')
             .map(|s| match s.trim().parse::<usize>() {
@@ -229,9 +225,9 @@ pub fn cli_out_path(args: &[String], default: &str) -> String {
     cli_value(args, "--out").unwrap_or(default).to_string()
 }
 
-/// The thread-count sweep of a bench invocation: `--threads a,b,c`, the
-/// `GANAX_BENCH_THREADS` environment variable, or the default — the CLI
-/// front half of [`bench_thread_counts`] (see there for panics).
+/// The thread-count sweep of a bench invocation: `--threads a,b,c` or the
+/// default — the CLI front half of [`bench_thread_counts`] (see there for
+/// panics).
 pub fn cli_thread_counts(args: &[String]) -> Vec<usize> {
     bench_thread_counts(cli_value(args, "--threads"))
 }
@@ -261,10 +257,7 @@ pub struct ThreadTiming {
     pub threads: usize,
     /// Wall-clock milliseconds at this count.
     pub ms: f64,
-    /// Speedup over the workload's single-threaded measurement: the
-    /// independently timed serial fast path for `machine_bench` rows, and
-    /// the sweep's `threads == 1` point for `network_bench` rows (1.0 there
-    /// when no single-threaded point was swept).
+    /// Speedup over the independently timed serial fast path.
     pub speedup_vs_serial: f64,
 }
 
@@ -544,86 +537,10 @@ pub fn machine_bench(quick: bool, thread_counts: &[usize]) -> Vec<MachineBenchRo
         .collect()
 }
 
-/// One per-layer row of the end-to-end network benchmark
-/// (`BENCH_network.json`).
-#[derive(Debug, Clone, Serialize)]
-pub struct NetworkBenchRow {
-    /// Layer name.
-    pub layer: String,
-    /// Human-readable I/O shapes (`input -> output`).
-    pub geometry: String,
-    /// Whether the layer ran on the host (projection) instead of the PE array.
-    pub host: bool,
-    /// Whether the layer is a transposed convolution.
-    pub is_tconv: bool,
-    /// Busy PE cycles the layer simulated (its in-bounds MACs).
-    pub busy_pe_cycles: u64,
-    /// Work units executed.
-    pub work_units: u64,
-    /// Load balance of the threaded PE-array scheduler (1.0 = perfect).
-    pub balance: f64,
-    /// Wall-clock milliseconds of the layer (planning excluded: the one-shot
-    /// run compiles every layer before executing any).
-    pub wall_ms: f64,
-}
-
-/// The end-to-end network benchmark report behind `BENCH_network.json`: the
-/// DCGAN generator executed layer by layer on the cycle-level machine, with
-/// the simulated-vs-analytic cross-check and the Eyeriss-baseline direction.
-#[derive(Debug, Clone, Serialize)]
-pub struct NetworkBenchReport {
-    /// Benchmark family name.
-    pub bench: String,
-    /// Network executed.
-    pub network: String,
-    /// Whether the quick (reduced-geometry) variant was used.
-    pub quick: bool,
-    /// Worker threads used for the PE-array layers.
-    pub threads: usize,
-    /// Logical CPUs of the host the report was measured on.
-    pub nproc: usize,
-    /// Cargo build profile of the bench binary (`release` or `debug`).
-    pub profile: String,
-    /// Per-layer measurements.
-    pub rows: Vec<NetworkBenchRow>,
-    /// Total busy PE cycles simulated.
-    pub total_busy_pe_cycles: u64,
-    /// Total wall-clock milliseconds.
-    pub total_wall_ms: f64,
-    /// Wall-clock milliseconds spent planning layers during the primary run.
-    pub plan_ms: f64,
-    /// Wall-clock milliseconds of one standalone
-    /// [`CompiledNetwork::compile`](ganax::CompiledNetwork::compile) (weight
-    /// validation plus every layer plan) — the artifact the sweep executes.
-    pub compile_ms: f64,
-    /// Heap bytes of the compiled layer plans
-    /// ([`CompiledNetwork::plan_bytes`](ganax::CompiledNetwork::plan_bytes)).
-    pub plan_bytes: usize,
-    /// Bytes of the raw weight tensors of the PE-array layers the plans
-    /// cover; the `bench_network` binary asserts `plan_bytes` stays within
-    /// 1.5× of it.
-    pub raw_weight_bytes: usize,
-    /// Simulated busy cycles per wall-clock second.
-    pub cycles_per_sec: f64,
-    /// Warm execution wall-clock (best of 2 [`InferenceEngine::execute`]
-    /// calls on the compiled artifact; compile excluded) over the swept pool
-    /// sizes (see [`bench_thread_counts`]); every swept run's output is
-    /// asserted identical to the primary run's.
-    pub thread_scaling: Vec<ThreadTiming>,
-    /// Whether every layer's measured MACs agree with the analytic model.
-    pub cross_check_consistent: bool,
-    /// Simulated speedup over the Eyeriss baseline (machine layers only).
-    pub simulated_speedup: f64,
-    /// Simulated energy reduction over the Eyeriss baseline.
-    pub simulated_energy_reduction: f64,
-}
-
-/// Runs the DCGAN generator end to end on the cycle-level machine — full
-/// size, or channel-capped at 64 with `quick` for CI smoke runs — and
-/// packages the [`SimulatedComparison`] into a serializable report, plus the
-/// compile cost, the plan size and a warm pool-size sweep over
-/// `thread_counts`.
-pub fn network_bench(quick: bool, thread_counts: &[usize]) -> NetworkBenchReport {
+/// The network the serving bench measures, with its deterministic weights:
+/// the DCGAN generator at full size, or channel-capped at 64 with `quick`
+/// for CI smoke runs.
+pub fn bench_generator(quick: bool) -> (Network, NetworkWeights) {
     let generator = zoo::dcgan().generator;
     let network = if quick {
         generator
@@ -633,88 +550,69 @@ pub fn network_bench(quick: bool, thread_counts: &[usize]) -> NetworkBenchReport
         generator
     };
     let weights = network_weights(&network, 2027);
-    let input = deterministic_tensor(network.input_shape(), 4099);
-    let report =
-        SimulatedComparison::run(&network, &input, &weights).expect("DCGAN generator executes");
-    let execution = &report.execution;
-    let machine = GanaxMachine::paper();
-    // Compile once, outside every timed execution: the artifact is
-    // engine-independent, so one compile serves every pool size.
-    let compile_start = Instant::now();
-    let compiled =
-        CompiledNetwork::compile(&machine, &network, &weights).expect("network compiles");
-    let compile_ms = compile_start.elapsed().as_secs_f64() * 1e3;
-    let raw_weight_bytes = network
-        .layers()
+    (network, weights)
+}
+
+/// `n` deterministic inputs for `network`; input `i` is seeded `seed + 31 i`.
+fn bench_inputs(network: &Network, seed: u64, n: usize) -> Vec<Tensor> {
+    (0..n as u64)
+        .map(|i| deterministic_tensor(network.input_shape(), seed + 31 * i))
+        .collect()
+}
+
+/// A fresh `pool_threads`-worker engine over `machine` with `network`
+/// compiled on it.
+fn compiled_engine(
+    machine: GanaxMachine,
+    network: &Network,
+    weights: &NetworkWeights,
+    pool_threads: usize,
+) -> (InferenceEngine, CompiledNetwork) {
+    let engine = InferenceEngine::new(machine, pool_threads);
+    let compiled = engine.compile(network, weights).expect("network compiles");
+    (engine, compiled)
+}
+
+/// Runs each input once on `engine`: the outputs served responses must
+/// reproduce, and the mean wall-clock seconds of one run.
+fn run_each(
+    engine: &InferenceEngine,
+    compiled: &CompiledNetwork,
+    inputs: &[Tensor],
+) -> (Vec<Tensor>, f64) {
+    let start = Instant::now();
+    let outputs = inputs
         .iter()
-        .enumerate()
-        .filter(|(_, l)| !matches!(l.op, LayerOp::Projection))
-        .map(|(i, _)| weights.weight(i).len() * std::mem::size_of::<f32>())
-        .sum();
-    let thread_scaling: Vec<ThreadTiming> = {
-        let timed: Vec<(usize, f64)> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let engine = InferenceEngine::new(machine, threads);
-                let (run, ms) = time_best_of(2, || {
-                    engine
-                        .execute(&compiled, &input)
-                        .expect("swept run executes")
-                });
-                assert_eq!(
-                    run.output, execution.output,
-                    "{threads}-thread sweep diverged from the primary run"
-                );
-                (threads, ms)
-            })
-            .collect();
-        // Normalize to the sweep's true single-threaded point (matching
-        // `machine_bench`'s semantics); without one the rows report 1.0.
-        let serial_ms = timed.iter().find(|(t, _)| *t == 1).map(|&(_, ms)| ms);
-        timed
-            .into_iter()
-            .map(|(threads, ms)| ThreadTiming {
-                threads,
-                ms,
-                speedup_vs_serial: serial_ms.map_or(1.0, |serial| serial / ms),
-            })
-            .collect()
-    };
-    let rows = network
-        .layer_shapes()
-        .into_iter()
-        .zip(&execution.layers)
-        .map(|((_, input, output), l)| NetworkBenchRow {
-            layer: l.name.clone(),
-            geometry: format!("{input} -> {output}"),
-            host: l.host,
-            is_tconv: l.is_tconv,
-            busy_pe_cycles: l.busy_pe_cycles,
-            work_units: l.work_units,
-            balance: l.balance,
-            wall_ms: l.wall_seconds * 1e3,
+        .map(|input| {
+            engine
+                .execute(compiled, input)
+                .expect("baseline executes")
+                .output
         })
         .collect();
-    NetworkBenchReport {
-        bench: "network".to_string(),
-        network: execution.network.clone(),
-        quick,
-        threads: execution.threads,
-        nproc: available_parallelism(),
-        profile: build_profile(),
-        rows,
-        total_busy_pe_cycles: execution.total_busy_pe_cycles(),
-        total_wall_ms: execution.wall_seconds * 1e3,
-        plan_ms: execution.plan_seconds * 1e3,
-        compile_ms,
-        plan_bytes: compiled.plan_bytes(),
-        raw_weight_bytes,
-        cycles_per_sec: execution.cycles_per_second(),
-        thread_scaling,
-        cross_check_consistent: report.is_consistent(),
-        simulated_speedup: report.simulated_speedup(),
-        simulated_energy_reduction: report.simulated_energy_reduction(),
-    }
+    (outputs, start.elapsed().as_secs_f64() / inputs.len() as f64)
+}
+
+/// A [`Server`] under `config` over a fresh `pool_threads`-worker paper
+/// machine that injects `fault`, with `network` registered on it.
+fn served_model(
+    fault: FaultSpec,
+    config: ServeConfig,
+    network: &Network,
+    weights: &NetworkWeights,
+    pool_threads: usize,
+) -> (Server, ModelHandle) {
+    let machine = GanaxMachine::new(
+        GanaxConfig::paper()
+            .with_fault(fault)
+            .expect("fault spec is valid"),
+    );
+    let server =
+        Server::new(InferenceEngine::new(machine, pool_threads), config).expect("server builds");
+    let model = server
+        .register(network, weights)
+        .expect("the network registers");
+    (server, model)
 }
 
 /// One warm-path thread-scaling row of `BENCH_serve.json`: single-inference
@@ -858,6 +756,13 @@ pub struct ServeBenchReport {
     pub cold_plan_ms: f64,
     /// One-time [`ganax::CompiledNetwork::compile`] milliseconds.
     pub compile_ms: f64,
+    /// Heap bytes of the compiled layer plans
+    /// ([`CompiledNetwork::plan_bytes`](ganax::CompiledNetwork::plan_bytes)).
+    pub plan_bytes: usize,
+    /// Bytes of the raw weight tensors of the PE-array layers the plans
+    /// cover; the `bench_serve` binary asserts `plan_bytes` stays within
+    /// 1.5× of it.
+    pub raw_weight_bytes: usize,
     /// Warm request latency in milliseconds (best of 3): cached plans,
     /// persistent pool, PEs and buffers reset in place.
     pub warm_ms: f64,
@@ -955,15 +860,13 @@ pub struct IntegrityReport {
     /// bit-identical with zero undetected escapes. Empty when the sweep was
     /// not requested.
     pub corruption: Vec<SilentCorruptionRow>,
-    /// Total flips injected across the sweep.
+    /// Total element bit flips injected across the sweep.
     pub flips_injected: u64,
-    /// Total checksum violations flagged across the sweep.
-    pub flips_detected: u64,
-    /// Detected over injected — the recorded detection coverage. The
-    /// sweep's schedules are chosen so every consequential flip sits above
-    /// the checksum tolerance (asserted via bit-identity), so coverage
-    /// below 1.0 reflects flips that perturbed no output bit, not escapes.
-    pub detection_coverage: f64,
+    /// Total output-row slices whose checksum was flagged across the sweep.
+    /// One flagged slice may hold several flips, and a flip that perturbed
+    /// no output bit flags nothing, so this count is not a share of
+    /// `flips_injected`.
+    pub slices_flagged: u64,
 }
 
 /// Runs the serving benchmark on the DCGAN generator (channel-capped at 64
@@ -991,15 +894,7 @@ pub fn serve_bench(
     batch_size: usize,
     faults: bool,
 ) -> ServeBenchReport {
-    let generator = zoo::dcgan().generator;
-    let network = if quick {
-        generator
-            .reduced(64)
-            .expect("DCGAN generator reduces cleanly")
-    } else {
-        generator
-    };
-    let weights = network_weights(&network, 2027);
+    let (network, weights) = bench_generator(quick);
     let input = deterministic_tensor(network.input_shape(), 4099);
     let machine = GanaxMachine::paper();
     let threads = available_parallelism();
@@ -1019,6 +914,13 @@ pub fn serve_bench(
         .compile(&network, &weights)
         .expect("network compiles");
     let compile_ms = compile_start.elapsed().as_secs_f64() * 1e3;
+    let raw_weight_bytes = network
+        .layers()
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| !matches!(l.op, LayerOp::Projection))
+        .map(|(i, _)| weights.weight(i).len() * std::mem::size_of::<f32>())
+        .sum();
     let mut warm_plan_ms = 0.0f64;
     let (warm, warm_ms) = time_best_of(3, || {
         let run = engine
@@ -1070,18 +972,8 @@ pub fn serve_bench(
             .execute(&compiled, &input)
             .expect("serial baseline executes")
     });
-    let inputs: Vec<Tensor> = (0..batch_size.max(1))
-        .map(|k| deterministic_tensor(network.input_shape(), 4099 + 31 * k as u64))
-        .collect();
-    let singles: Vec<Tensor> = inputs
-        .iter()
-        .map(|one| {
-            batch_pool
-                .execute(&compiled, one)
-                .expect("per-element baseline executes")
-                .output
-        })
-        .collect();
+    let inputs = bench_inputs(&network, 4099, batch_size.max(1));
+    let (singles, _) = run_each(&batch_pool, &compiled, &inputs);
     let (batch, batch_wall_ms) = time_best_of(1, || {
         batch_pool
             .execute_batch(&compiled, &inputs)
@@ -1108,7 +1000,7 @@ pub fn serve_bench(
     // batched wave dispatch versus serial per-request dispatch, on
     // same-sized pools.
     let (offered_load, offered_load_peak_speedup) =
-        offered_load_sweep(machine, &network, &weights, batch_threads);
+        offered_load_sweep(&network, &weights, batch_threads);
 
     let fault_tolerance = if faults {
         fault_tolerance_bench(&network, &weights, batch_threads, quick)
@@ -1128,6 +1020,8 @@ pub fn serve_bench(
         cold_ms,
         cold_plan_ms: cold.plan_seconds * 1e3,
         compile_ms,
+        plan_bytes: compiled.plan_bytes(),
+        raw_weight_bytes,
         warm_ms,
         warm_plan_ms,
         speedup_warm_vs_cold: cold_ms / warm_ms,
@@ -1168,21 +1062,12 @@ pub fn fault_tolerance_bench(
     quick: bool,
 ) -> Vec<FaultToleranceRow> {
     let n = if quick { 6 } else { 10 };
-    let inputs: Vec<Tensor> = (0..n as u64)
-        .map(|i| deterministic_tensor(network.input_shape(), 70_001 + 31 * i))
-        .collect();
-    let probe = InferenceEngine::new(GanaxMachine::paper(), pool_threads);
-    let compiled = probe.compile(network, weights).expect("network compiles");
-    let expected: Vec<Tensor> = inputs
-        .iter()
-        .map(|input| {
-            probe
-                .execute(&compiled, input)
-                .expect("baseline executes")
-                .output
-        })
-        .collect();
-    drop(probe);
+    let inputs = bench_inputs(network, 70_001, n);
+    let expected = {
+        let (probe, compiled) =
+            compiled_engine(GanaxMachine::paper(), network, weights, pool_threads);
+        run_each(&probe, &compiled, &inputs).0
+    };
 
     let kinds = FaultKind::NAN_POISON | FaultKind::WORKER_PANIC | FaultKind::WORKER_STALL;
     // Each detected-NaN retry advances the armed-site frontier by at least
@@ -1204,11 +1089,6 @@ pub fn fault_tolerance_bench(
     let mut rows: Vec<FaultToleranceRow> = Vec::new();
     for (schedule, spec) in schedules {
         let rate_ppm = spec.rate_ppm;
-        let machine = GanaxMachine::new(
-            GanaxConfig::paper()
-                .with_fault(spec)
-                .expect("sweep spec is valid"),
-        );
         let config = ServeConfig {
             max_batch: 4,
             batch_window: Duration::from_millis(2),
@@ -1216,11 +1096,7 @@ pub fn fault_tolerance_bench(
             retry_backoff: Duration::from_millis(1),
             ..ServeConfig::default()
         };
-        let server = Server::new(InferenceEngine::new(machine, pool_threads), config)
-            .expect("server builds");
-        let model = server
-            .register(network, weights)
-            .expect("the network registers");
+        let (server, model) = served_model(spec, config, network, weights, pool_threads);
 
         let start = Instant::now();
         let tickets: Vec<_> = inputs
@@ -1325,10 +1201,8 @@ pub fn integrity_bench(
 
     // The verification tax: identical fresh engines, timed back to back,
     // differing only in IntegrityMode.
-    let off_engine = InferenceEngine::new(GanaxMachine::paper(), pool_threads);
-    let off_compiled = off_engine
-        .compile(network, weights)
-        .expect("network compiles");
+    let (off_engine, off_compiled) =
+        compiled_engine(GanaxMachine::paper(), network, weights, pool_threads);
     let (off_run, off_warm_ms) = time_best_of(3, || {
         off_engine
             .execute(&off_compiled, &input)
@@ -1337,17 +1211,12 @@ pub fn integrity_bench(
     assert_eq!(&off_run.output, expected, "Off mode diverged from headline");
     drop(off_engine);
 
-    let verify_engine = InferenceEngine::new(
-        GanaxMachine::new(
-            GanaxConfig::paper()
-                .with_integrity(IntegrityMode::Verify)
-                .expect("integrity mode is valid"),
-        ),
-        pool_threads,
+    let verify_machine = GanaxMachine::new(
+        GanaxConfig::paper()
+            .with_integrity(IntegrityMode::Verify)
+            .expect("integrity mode is valid"),
     );
-    let compiled = verify_engine
-        .compile(network, weights)
-        .expect("network compiles");
+    let (verify_engine, compiled) = compiled_engine(verify_machine, network, weights, pool_threads);
     let (verify_run, verify_warm_ms) = time_best_of(3, || {
         verify_engine
             .execute(&compiled, &input)
@@ -1386,20 +1255,11 @@ pub fn integrity_bench(
                 layer,
                 ..FaultSpec::seeded(seed, rate_ppm, kind)
             };
-            let machine = GanaxMachine::new(
-                GanaxConfig::paper()
-                    .with_fault(spec)
-                    .expect("flip spec is valid"),
-            );
             let config = ServeConfig {
                 integrity: IntegrityMode::VerifyAndHeal,
                 ..ServeConfig::default()
             };
-            let server = Server::new(InferenceEngine::new(machine, pool_threads), config)
-                .expect("server builds");
-            let model = server
-                .register(network, weights)
-                .expect("the network registers");
+            let (server, model) = served_model(spec, config, network, weights, pool_threads);
             let response = server
                 .submit(model, input.clone())
                 .expect("queue has room")
@@ -1444,21 +1304,14 @@ pub fn integrity_bench(
         }
     }
 
-    let flips_injected: u64 = corruption.iter().map(|r| r.injected).sum();
-    let flips_detected: u64 = corruption.iter().map(|r| r.detected).sum();
     IntegrityReport {
         off_warm_ms,
         verify_warm_ms,
         verify_overhead,
         checks_per_inference,
+        flips_injected: corruption.iter().map(|r| r.injected).sum(),
+        slices_flagged: corruption.iter().map(|r| r.detected).sum(),
         corruption,
-        flips_injected,
-        flips_detected,
-        detection_coverage: if flips_injected > 0 {
-            flips_detected as f64 / flips_injected as f64
-        } else {
-            0.0
-        },
     }
 }
 
@@ -1488,13 +1341,14 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Runs one offered-load case: a fresh [`Server`] over a
-/// `pool_threads`-worker engine, driven by the seeded arrival schedule, with
-/// every response asserted bit-identical to `expected` and plan-free.
+/// `pool_threads`-worker engine, submitting `inputs` on the seeded arrival
+/// schedule, with every response asserted bit-identical to `expected` and
+/// plan-free.
 #[allow(clippy::too_many_arguments)]
 fn offered_load_case(
-    machine: GanaxMachine,
     network: &Network,
     weights: &NetworkWeights,
+    inputs: &[Tensor],
     expected: &[Tensor],
     pool_threads: usize,
     batched: bool,
@@ -1519,23 +1373,24 @@ fn offered_load_case(
             ..ServeConfig::default()
         }
     };
-    let server =
-        Server::new(InferenceEngine::new(machine, pool_threads), config).expect("server builds");
-    let model = server
-        .register(network, weights)
-        .expect("the generator registers");
+    let (server, model) = served_model(
+        FaultSpec::disabled(),
+        config,
+        network,
+        weights,
+        pool_threads,
+    );
 
     let gaps = exponential_interarrivals(rate_per_sec, n, seed);
     let start = Instant::now();
     let mut due = 0.0f64;
     let mut tickets = Vec::with_capacity(n);
-    for (i, gap) in gaps.into_iter().enumerate() {
+    for (gap, input) in gaps.into_iter().zip(inputs) {
         due += gap;
         if let Some(wait) = Duration::from_secs_f64(due).checked_sub(start.elapsed()) {
             std::thread::sleep(wait);
         }
-        let input = deterministic_tensor(network.input_shape(), OFFERED_INPUT_SEED + 31 * i as u64);
-        tickets.push(server.submit(model, input).expect("queue has room"));
+        tickets.push(server.submit(model, input.clone()).expect("queue has room"));
     }
     let mut latencies_ms = Vec::with_capacity(n);
     for (i, ticket) in tickets.into_iter().enumerate() {
@@ -1573,30 +1428,20 @@ fn offered_load_case(
 /// rates. Returns the rows plus the batched-over-serial throughput ratio at
 /// the highest rate.
 fn offered_load_sweep(
-    machine: GanaxMachine,
     network: &Network,
     weights: &NetworkWeights,
     pool_threads: usize,
 ) -> (Vec<OfferedLoadRow>, f64) {
-    // Calibration doubles as baseline collection: each timed probe run is
-    // also the expected output the served responses must reproduce.
-    let probe = InferenceEngine::new(machine, pool_threads);
-    let compiled = probe.compile(network, weights).expect("network compiles");
     let load_points = [(0.8, 4usize), (1.5, 6), (4.0, 12)];
     let n_max = load_points.iter().map(|&(_, n)| n).max().unwrap_or(0);
-    let mut serial_seconds = 0.0;
-    let expected: Vec<Tensor> = (0..n_max)
-        .map(|i| {
-            let input =
-                deterministic_tensor(network.input_shape(), OFFERED_INPUT_SEED + 31 * i as u64);
-            let run_start = Instant::now();
-            let run = probe.execute(&compiled, &input).expect("baseline executes");
-            serial_seconds += run_start.elapsed().as_secs_f64();
-            run.output
-        })
-        .collect();
-    drop(probe);
-    let serial_latency = serial_seconds / n_max as f64;
+    let inputs = bench_inputs(network, OFFERED_INPUT_SEED, n_max);
+    // Calibration doubles as baseline collection: each timed probe run is
+    // also the expected output the served responses must reproduce.
+    let (expected, serial_latency) = {
+        let (probe, compiled) =
+            compiled_engine(GanaxMachine::paper(), network, weights, pool_threads);
+        run_each(&probe, &compiled, &inputs)
+    };
     let capacity_per_sec = 1.0 / serial_latency;
     // The coalescing budget scales with service time: long enough to form
     // waves under load, short enough to stay invisible next to one service.
@@ -1607,9 +1452,9 @@ fn offered_load_sweep(
         let rate = load_factor * capacity_per_sec;
         for batched in [true, false] {
             rows.push(offered_load_case(
-                machine,
                 network,
                 weights,
+                &inputs[..n],
                 &expected[..n],
                 pool_threads,
                 batched,
@@ -1708,21 +1553,6 @@ pub fn sweep_bench(quick: bool) -> SweepBenchReport {
     }
 }
 
-/// Profiling aid for `bench_machine --fast-only`: repeatedly runs the serial
-/// fast path on the largest bench geometry so a sampling profiler sees only
-/// the hot path.
-pub fn machine_fast_only_loop(quick: bool) {
-    let machine = GanaxMachine::paper();
-    let layer = machine_bench_layers(quick).pop().expect("bench layers");
-    let (input, weights) = layer_tensors(&layer, 99);
-    for _ in 0..5 {
-        let run = machine
-            .execute_layer_threaded(&layer, &input, &weights, 1)
-            .expect("fast path executes the bench layer");
-        std::hint::black_box(run.busy_pe_cycles);
-    }
-}
-
 /// Formats a percentage.
 pub fn pct(x: f64) -> String {
     format!("{:5.1}%", x * 100.0)
@@ -1805,6 +1635,26 @@ mod tests {
             assert!(cell.energy_reduction > 1.0);
         }
         assert!(report.machine_spot_checks.is_empty());
+    }
+
+    #[test]
+    fn thread_counts_are_sorted_and_deduplicated() {
+        assert_eq!(bench_thread_counts(Some("4,1,2,2")), vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn blank_thread_spec_falls_back_to_the_default() {
+        let mut default = vec![1, 2, 4, available_parallelism()];
+        default.sort_unstable();
+        default.dedup();
+        assert_eq!(bench_thread_counts(None), default);
+        assert_eq!(bench_thread_counts(Some(" ")), default);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid thread count `l6`")]
+    fn unparseable_thread_spec_panics() {
+        bench_thread_counts(Some("l6"));
     }
 
     #[test]

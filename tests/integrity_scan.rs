@@ -12,8 +12,7 @@
 use std::time::Instant;
 
 use ganax::{FaultKind, FaultSpec, GanaxConfig, GanaxMachine, InferenceEngine, IntegrityMode};
-use ganax_bench::{deterministic_tensor, network_weights};
-use ganax_models::zoo;
+use ganax_bench::{bench_generator, deterministic_tensor};
 
 fn engine(mode: IntegrityMode, spec: FaultSpec, threads: usize) -> InferenceEngine {
     let config = GanaxConfig::paper()
@@ -24,28 +23,13 @@ fn engine(mode: IntegrityMode, spec: FaultSpec, threads: usize) -> InferenceEngi
     InferenceEngine::new(GanaxMachine::new(config), threads)
 }
 
-/// The bench networks: the DCGAN generator, full size and channel-capped at
-/// 64 (`--quick`), with the bench's deterministic weights and input.
-fn bench_network(quick: bool) -> (ganax_models::Network, ganax::NetworkWeights) {
-    let generator = zoo::dcgan().generator;
-    let network = if quick {
-        generator
-            .reduced(64)
-            .expect("DCGAN generator reduces cleanly")
-    } else {
-        generator
-    };
-    let weights = network_weights(&network, 2027);
-    (network, weights)
-}
-
 /// Measures the ABFT verification tax on both bench geometries — the manual
 /// counterpart of the `verify_overhead` number `integrity_bench` records.
 #[test]
 #[ignore = "manual helper: measures the Verify-mode tax on the bench networks"]
 fn tax() {
     for quick in [true, false] {
-        let (network, weights) = bench_network(quick);
+        let (network, weights) = bench_generator(quick);
         let input = deterministic_tensor(network.input_shape(), 4099);
         let mut ms = Vec::new();
         for mode in [IntegrityMode::Off, IntegrityMode::Verify] {
@@ -78,7 +62,7 @@ fn tax() {
 #[ignore = "manual helper: scans for silent-corruption schedule seeds"]
 fn scan() {
     for quick in [true, false] {
-        let (network, weights) = bench_network(quick);
+        let (network, weights) = bench_generator(quick);
         let input = deterministic_tensor(network.input_shape(), 4099);
         let clean = engine(IntegrityMode::Off, FaultSpec::disabled(), 1);
         let compiled = clean.compile(&network, &weights).expect("network compiles");
