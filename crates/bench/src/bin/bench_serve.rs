@@ -76,9 +76,10 @@ fn main() {
         report.warm_cycles_per_sec / 1e6,
     );
     for row in &report.thread_rows {
+        let ms = row.warm_ms;
         println!(
-            "  warm @ {:>2} threads  {:>9.1} ms  {:.3} inf/s",
-            row.threads, row.warm_ms, row.inferences_per_sec,
+            "  warm @ {:>2} threads  {:>9.1} ms median ({:.1}–{:.1}, {} runs)  {:.3} inf/s",
+            row.threads, ms.median, ms.min, ms.max, ms.samples, row.inferences_per_sec,
         );
     }
     for row in &report.batch_rows {
@@ -111,10 +112,6 @@ fn main() {
         );
         assert!(row.bit_identical, "offered-load row lost bit-identity");
     }
-    println!(
-        "  offered-load peak: batched waves {:.2}x serial dispatch",
-        report.offered_load_peak_speedup,
-    );
 
     for row in &report.fault_tolerance {
         println!(

@@ -91,8 +91,8 @@ fn header(title: &str) {
 fn print_table1() {
     header("Table I: evaluated GAN models");
     println!(
-        "{:<10} {:>5} {:>9} {:>10} {:>9} {:>10}  {}",
-        "Model", "Year", "Gen Conv", "Gen TConv", "Dis Conv", "Dis TConv", "Description"
+        "{:<10} {:>5} {:>9} {:>10} {:>9} {:>10}  Description",
+        "Model", "Year", "Gen Conv", "Gen TConv", "Dis Conv", "Dis TConv"
     );
     for gan in zoo::all_models() {
         let (gc, gt, dc, dt) = gan.table_one_row();

@@ -448,18 +448,54 @@ pub fn machine_bench_layers(quick: bool) -> Vec<Layer> {
     layers
 }
 
-/// Runs `f` `samples` times and keeps the fastest wall-clock time (the
-/// criterion-style noise floor) together with the last result.
-fn time_best_of<T>(samples: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
+/// The spread of repeated wall-clock timings, in milliseconds.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct MsSpread {
+    /// Timed runs.
+    pub samples: usize,
+    /// Fastest run.
+    pub min: f64,
+    /// Median run (the mean of the middle two for an even count).
+    pub median: f64,
+    /// Slowest run.
+    pub max: f64,
+}
+
+impl MsSpread {
+    /// The spread of `times` (at least one), sorting them in place.
+    fn of(times: &mut [f64]) -> Self {
+        times.sort_by(f64::total_cmp);
+        let n = times.len();
+        MsSpread {
+            samples: n,
+            min: times[0],
+            median: (times[(n - 1) / 2] + times[n / 2]) / 2.0,
+            max: times[n - 1],
+        }
+    }
+}
+
+/// Runs `f` `samples` times (at least once) and records the spread of its
+/// wall-clock times together with the last result.
+fn time_spread<T>(samples: usize, mut f: impl FnMut() -> T) -> (T, MsSpread) {
+    let mut times = Vec::with_capacity(samples.max(1));
     let mut value = None;
     for _ in 0..samples.max(1) {
         let start = Instant::now();
-        let result = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        value = Some(result);
+        value = Some(f());
+        times.push(start.elapsed().as_secs_f64() * 1e3);
     }
-    (value.expect("at least one sample"), best)
+    (
+        value.expect("at least one sample"),
+        MsSpread::of(&mut times),
+    )
+}
+
+/// Runs `f` `samples` times and keeps the fastest wall-clock time (the
+/// criterion-style noise floor) together with the last result.
+fn time_best_of<T>(samples: usize, f: impl FnMut() -> T) -> (T, f64) {
+    let (value, spread) = time_spread(samples, f);
+    (value, spread.min)
 }
 
 /// Measures the seed single-step serial path against the burst-stepped fast
@@ -615,15 +651,20 @@ fn served_model(
     (server, model)
 }
 
+/// Warm runs timed per pool size in `thread_rows`.
+const THREAD_ROW_SAMPLES: usize = 5;
+
 /// One warm-path thread-scaling row of `BENCH_serve.json`: single-inference
 /// latency on a cached [`ganax::CompiledNetwork`] at one pool size.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeThreadRow {
     /// Pool workers in the engine.
     pub threads: usize,
-    /// Warm single-inference wall-clock milliseconds (best of 2).
-    pub warm_ms: f64,
-    /// Warm single-inference throughput (`1e3 / warm_ms`).
+    /// Warm single-inference wall-clock milliseconds over
+    /// `THREAD_ROW_SAMPLES` runs on one pool.
+    pub warm_ms: MsSpread,
+    /// Warm single-inference throughput at the median (`1e3 /
+    /// warm_ms.median`).
     pub inferences_per_sec: f64,
 }
 
@@ -786,12 +827,9 @@ pub struct ServeBenchReport {
     /// Batched throughput rows (pool of `max(4, available)` workers).
     pub batch_rows: Vec<ServeBatchRow>,
     /// Offered-load sweep: `"batched"` and `"serial"` dispatch at each
-    /// arrival rate, on same-sized pools.
+    /// arrival rate, on same-sized pools. Each row is one short run, so the
+    /// two modes' throughputs at one rate are not a stable ratio.
     pub offered_load: Vec<OfferedLoadRow>,
-    /// Batched-wave throughput over serial per-request throughput at the
-    /// highest recorded arrival rate — the dynamic-batching payoff under
-    /// saturation.
-    pub offered_load_peak_speedup: f64,
     /// Fault-tolerance sweep (`--faults`): throughput and tail-latency
     /// degradation versus seeded fault rate, with recovery activity per
     /// row. Empty when the sweep was not requested.
@@ -951,14 +989,14 @@ pub fn serve_bench(
         .iter()
         .map(|&t| {
             let pool = InferenceEngine::new(machine, t);
-            let (run, ms) = time_best_of(2, || {
+            let (run, warm_ms) = time_spread(THREAD_ROW_SAMPLES, || {
                 pool.execute(&compiled, &input).expect("swept run executes")
             });
             assert_eq!(run.output, cold.output, "{t}-thread output diverged");
             ServeThreadRow {
                 threads: t,
-                warm_ms: ms,
-                inferences_per_sec: 1e3 / ms,
+                warm_ms,
+                inferences_per_sec: 1e3 / warm_ms.median,
             }
         })
         .collect();
@@ -999,8 +1037,7 @@ pub fn serve_bench(
     // Offered load: the async server under seeded Poisson arrivals —
     // batched wave dispatch versus serial per-request dispatch, on
     // same-sized pools.
-    let (offered_load, offered_load_peak_speedup) =
-        offered_load_sweep(&network, &weights, batch_threads);
+    let offered_load = offered_load_sweep(&network, &weights, batch_threads);
 
     let fault_tolerance = if faults {
         fault_tolerance_bench(&network, &weights, batch_threads, quick)
@@ -1032,7 +1069,6 @@ pub fn serve_bench(
         thread_rows,
         batch_rows,
         offered_load,
-        offered_load_peak_speedup,
         fault_tolerance,
         integrity,
     }
@@ -1425,13 +1461,12 @@ fn offered_load_case(
 /// The offered-load sweep behind `BENCH_serve.json`: calibrates the pool's
 /// serial capacity, then drives batched and serial servers through the same
 /// seeded arrival schedules at sub-capacity, near-capacity and saturating
-/// rates. Returns the rows plus the batched-over-serial throughput ratio at
-/// the highest rate.
+/// rates.
 fn offered_load_sweep(
     network: &Network,
     weights: &NetworkWeights,
     pool_threads: usize,
-) -> (Vec<OfferedLoadRow>, f64) {
+) -> Vec<OfferedLoadRow> {
     let load_points = [(0.8, 4usize), (1.5, 6), (4.0, 12)];
     let n_max = load_points.iter().map(|&(_, n)| n).max().unwrap_or(0);
     let inputs = bench_inputs(network, OFFERED_INPUT_SEED, n_max);
@@ -1466,9 +1501,7 @@ fn offered_load_sweep(
             ));
         }
     }
-    let peak = rows.len() - 2;
-    let peak_speedup = rows[peak].throughput_per_sec / rows[peak + 1].throughput_per_sec;
-    (rows, peak_speedup)
+    rows
 }
 
 /// The design-space geometries the sweep bench covers: the paper's 16 × 16
@@ -1655,6 +1688,20 @@ mod tests {
     #[should_panic(expected = "invalid thread count `l6`")]
     fn unparseable_thread_spec_panics() {
         bench_thread_counts(Some("l6"));
+    }
+
+    #[test]
+    fn ms_spread_sorts_and_takes_the_middle() {
+        let odd = MsSpread::of(&mut [5.0, 1.0, 3.0]);
+        assert_eq!(
+            (odd.samples, odd.min, odd.median, odd.max),
+            (3, 1.0, 3.0, 5.0)
+        );
+        let even = MsSpread::of(&mut [4.0, 1.0, 2.0, 9.0]);
+        assert_eq!(
+            (even.samples, even.min, even.median, even.max),
+            (4, 1.0, 3.0, 9.0)
+        );
     }
 
     #[test]

@@ -308,7 +308,9 @@ struct TaskReply {
 
 /// A completed shard: accumulated output rows plus the worker PE's activity.
 struct ShardOutput {
-    /// Accumulated rows, laid out `[element][row slot][channel][column]`.
+    /// Accumulated rows, laid out `[element][row slot][row word]`; each
+    /// row is dispatch-major, `[dispatch][channel][column]` with the
+    /// inconsequential columns trailing ([`LayerPlan::column_words`]).
     buffer: Vec<f32>,
     busy_pe_cycles: u64,
     counts: EventCounts,
@@ -414,18 +416,18 @@ fn worker_loop(shared: Arc<PoolShared>) {
 }
 
 /// Executes one shard — `task.rows` output rows × every batch element — on a
-/// resident worker PE, accumulating into `buffer` (layout
-/// `[element][row slot][channel][column slot]`, zeroed here in place; column
-/// slots follow the plan's dispatch-major [`column_slot`] order).
+/// resident worker PE, accumulating into `buffer` (layout `[element][row
+/// slot][row word]`, zeroed here in place; each row is dispatch-major,
+/// `[dispatch][channel][column]`, as [`column_words`] maps it).
 ///
 /// The loop nests `ky → ci → dispatch → row block → channel group → row` so
 /// a gathered weight stream, staged once per `(dispatch, group)`, serves
 /// every resident row of every batch element, and a whole block of gathered
 /// input streams stays resident in the input scratchpad across all channel
 /// groups (each dispatch selects its stream through the input generator's
-/// offset register). A dispatch bundles every equal-tap chunk of the row, so
-/// its columns occupy one contiguous slot run and each channel's partial
-/// sums land with one contiguous add.
+/// offset register). A dispatch bundles every equal-tap chunk of the row, and
+/// the row keeps each dispatch's channels side by side, so a retire's whole
+/// `group × cols` run of partial sums lands with one contiguous add.
 ///
 /// Per column and channel this performs exactly the single-step reference's
 /// traffic (`taps` input + `taps` weight reads, two µop fetches, one
@@ -438,7 +440,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
 /// and checksum folds stay keyed by chunk (see [`load_dispatch_weights`],
 /// [`emit_faulty`] and [`accumulate_input_checksum`]).
 ///
-/// [`column_slot`]: crate::machine::LayerPlan::column_slot
+/// [`column_words`]: crate::machine::LayerPlan::column_words
 fn run_resident_shard(
     task: &ShardTask,
     pe: &mut ProcessingEngine,
@@ -604,24 +606,28 @@ fn run_resident_shard(
                                 b * stream,
                                 layer,
                             )?;
-                            let base =
-                                (e * rows.len() + slot) * row_stride + co0 * width + dispatch.slot;
-                            for (k, slots) in produced.chunks_exact(dispatch.cols).enumerate() {
-                                let out = &mut buffer[base + k * width..][..dispatch.cols];
-                                if emit_faults {
-                                    emit_faulty(
-                                        plan,
-                                        dispatch,
-                                        &ordinals,
-                                        faults,
-                                        rows[slot],
-                                        co0 + k,
-                                        out,
-                                        slots,
-                                    );
-                                } else {
-                                    add_slots(out.iter_mut(), slots, None);
-                                }
+                            let base = (e * rows.len() + slot) * row_stride
+                                + dispatch.word
+                                + co0 * dispatch.cols;
+                            let out = &mut buffer[base..][..produced.len()];
+                            if !emit_faults {
+                                add_slots(out, produced, None);
+                                continue;
+                            }
+                            let runs = out
+                                .chunks_exact_mut(dispatch.cols)
+                                .zip(produced.chunks_exact(dispatch.cols));
+                            for (k, (out, produced)) in runs.enumerate() {
+                                emit_faulty(
+                                    plan,
+                                    dispatch,
+                                    &ordinals,
+                                    faults,
+                                    rows[slot],
+                                    co0 + k,
+                                    out,
+                                    produced,
+                                );
                             }
                         }
                         co0 += group;
@@ -633,13 +639,13 @@ fn run_resident_shard(
 
     if task.verify {
         // Observed side: a linear f64 fold over each accumulated row, walked
-        // channel-major with columns in ascending order (through the slot
-        // permutation), whatever the pool size.
+        // channel-major with columns in ascending order (through the word
+        // map), whatever the pool size.
         for (i, check) in checks.iter_mut().enumerate() {
             let row = &buffer[i * row_stride..(i + 1) * row_stride];
-            for channel in row.chunks_exact(width) {
-                for &slot in &plan.column_slot {
-                    check.observed += f64::from(channel[slot]);
+            for co in 0..co_count {
+                for &(base, stride) in &plan.column_words {
+                    check.observed += f64::from(row[base + co * stride]);
                 }
             }
         }
@@ -650,7 +656,7 @@ fn run_resident_shard(
     Ok((pe.busy_cycles(), counts, work_units, checks))
 }
 
-/// Adds channel `co`'s produced run of one dispatch into its output slots
+/// Adds channel `co`'s produced run of one dispatch into its output words
 /// under armed faults: each carried chunk's piece consults the chunk's own
 /// emit-fault site (`(row, ordinal + g0, co)`, with `g0` the start of the
 /// channel group that chunk alone would dispatch `co` in).
@@ -670,7 +676,7 @@ fn emit_faulty(
         let g0 = co - co % chunk.group_max;
         let piece = chunk.dispatch_col..chunk.dispatch_col + chunk.cols;
         let fault = faults.emit_fault(row, ordinal + g0 as u64, co);
-        add_slots(out[piece.clone()].iter_mut(), &produced[piece], fault);
+        add_slots(&mut out[piece.clone()], &produced[piece], fault);
     }
 }
 
@@ -1204,7 +1210,7 @@ impl InferenceEngine {
         let elements = inputs.len();
         let mut outputs: Vec<Tensor> = (0..elements).map(|_| Tensor::zeros(layer.output)).collect();
         let row_stride = co_count * width;
-        let column_slot = &plan.plan.column_slot;
+        let column_words = &plan.plan.column_words;
         let mut busy_pe_cycles = 0u64;
         let mut counts = EventCounts::default();
         let mut work_units = 0u64;
@@ -1215,13 +1221,14 @@ impl InferenceEngine {
                 let data = output.data_mut();
                 for (slot, &oy) in rows.iter().enumerate() {
                     let src = (e * rows.len() + slot) * row_stride;
+                    let row = &shard.buffer[src..src + row_stride];
                     for co in 0..co_count {
-                        // Shard rows are laid out in dispatch-major column
-                        // slots; map them back to column order.
+                        // Shard rows are laid out dispatch-major; map them
+                        // back to `[channel][column]` order.
                         let dst = (co * height + oy) * width;
-                        let slots = &shard.buffer[src + co * width..][..width];
-                        for (out, &s) in data[dst..dst + width].iter_mut().zip(column_slot) {
-                            *out = slots[s];
+                        let words = data[dst..dst + width].iter_mut().zip(column_words);
+                        for (out, &(base, stride)) in words {
+                            *out = row[base + co * stride];
                         }
                     }
                 }

@@ -232,8 +232,8 @@ pub(crate) struct ColumnChunk {
 /// A row's equal-tap chunks bundled into one engine dispatch: one operand
 /// stream of `cols × taps` words (the chunks' streams concatenated in
 /// ascending chunk index), one `repeat`+`mac` µop pair per column and channel,
-/// and one contiguous run of column slots in the engine's dispatch-major row
-/// layout ([`LayerPlan::column_slot`]).
+/// and one contiguous `[channel][column]` block of words in the engine's
+/// dispatch-major row layout ([`LayerPlan::column_words`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Dispatch {
     /// Consequential taps of every column.
@@ -244,8 +244,10 @@ pub(crate) struct Dispatch {
     pub(crate) group_max: usize,
     /// The carried chunks, ascending.
     pub(crate) chunks: Vec<usize>,
-    /// First column slot of the dispatch in a dispatch-major row.
-    pub(crate) slot: usize,
+    /// First word of the dispatch's block in a dispatch-major row: channel
+    /// `co`'s partial sums for the dispatch's columns start at `word + co ×
+    /// cols`, so a channel group's retire lands in one contiguous run.
+    pub(crate) word: usize,
     /// Per column, the first input column it reads.
     pub(crate) input_starts: Vec<usize>,
     /// Per column, the first word of its column run in a phase-major kernel
@@ -271,10 +273,13 @@ pub(crate) struct LayerPlan {
     pub(crate) chunks: Vec<ColumnChunk>,
     /// Chunks bundled by tap count into engine dispatches.
     pub(crate) dispatches: Vec<Dispatch>,
-    /// Per output column, its slot in a dispatch-major row: every dispatch's
-    /// columns are contiguous (in dispatch order), inconsequential columns
-    /// come last. A permutation of `0..width`.
-    pub(crate) column_slot: Vec<usize>,
+    /// Per output column, where its words sit in an engine shard row laid
+    /// out dispatch-major, `[dispatch][channel][column]`, with the
+    /// inconsequential columns as one trailing `[channel][column]` block:
+    /// channel `co` of column `ox` is word `base + co × stride` for
+    /// `(base, stride) = column_words[ox]`. The map is a bijection from
+    /// `(co, ox)` onto `0..output_channels × width`.
+    pub(crate) column_words: Vec<(usize, usize)>,
     /// The layer's kernel rows (spatially flipped for transposed
     /// convolutions), laid out `[ky][ci][co][kx']`: exactly the raw weights'
     /// size, with a whole channel group's rows contiguous. Kernel columns are
@@ -363,14 +368,16 @@ impl LayerPlan {
     /// each joins the open dispatch of its tap count while the combined
     /// columns stay within the bounds [`LayerPlan::build_chunks`] applies,
     /// and opens a new one otherwise. Records each chunk's dispatch and
-    /// offset, and lays the row out dispatch-major (the returned column
-    /// slots). `kernel_pos` maps a kernel column to its phase-major position.
+    /// offset, and lays a row of `channels` output channels out
+    /// dispatch-major (the returned [`LayerPlan::column_words`]).
+    /// `kernel_pos` maps a kernel column to its phase-major position.
     fn bundle_chunks(
         chunks: &mut [ColumnChunk],
         column_runs: &[Option<ColumnRun>],
         kernel_pos: &[usize],
+        channels: usize,
         pe: &PeConfig,
-    ) -> (Vec<Dispatch>, Vec<usize>) {
+    ) -> (Vec<Dispatch>, Vec<(usize, usize)>) {
         let mut dispatches: Vec<Dispatch> = Vec::new();
         for (idx, chunk) in chunks.iter_mut().enumerate() {
             let open = dispatches.iter().rposition(|d| d.taps == chunk.taps);
@@ -384,7 +391,7 @@ impl LayerPlan {
                         cols: 0,
                         group_max: 0,
                         chunks: Vec::new(),
-                        slot: 0,
+                        word: 0,
                         input_starts: Vec::new(),
                         weight_starts: Vec::new(),
                     });
@@ -404,26 +411,27 @@ impl LayerPlan {
                 dispatch.weight_starts.push(kernel_pos[run.kernel_start]);
             }
         }
-        let width = column_runs.len();
-        let mut column_slot = vec![usize::MAX; width];
+        let mut column_words = vec![None; column_runs.len()];
         let mut next = 0;
         for dispatch in &mut dispatches {
             dispatch.group_max = group_max(pe, dispatch.cols, dispatch.taps);
-            dispatch.slot = next;
+            dispatch.word = next;
             for &idx in &dispatch.chunks {
                 let chunk = &chunks[idx];
                 for c in 0..chunk.cols {
-                    column_slot[chunk.ox_start + c * chunk.col_step] =
-                        next + chunk.dispatch_col + c;
+                    column_words[chunk.ox_start + c * chunk.col_step] =
+                        Some((next + chunk.dispatch_col + c, dispatch.cols));
                 }
             }
-            next += dispatch.cols;
+            next += channels * dispatch.cols;
         }
-        for slot in column_slot.iter_mut().filter(|s| **s == usize::MAX) {
-            *slot = next;
-            next += 1;
-        }
-        (dispatches, column_slot)
+        let idle = column_words.iter().filter(|w| w.is_none()).count();
+        let mut trailing = next..;
+        let column_words = column_words
+            .into_iter()
+            .map(|w| w.unwrap_or_else(|| (trailing.next().unwrap(), idle)))
+            .collect();
+        (dispatches, column_words)
     }
 
     fn build(layer: &Layer, params: &ConvParams, weights: &Tensor, pe: &PeConfig) -> Self {
@@ -456,8 +464,13 @@ impl LayerPlan {
         let (kernel_h, kernel_w) = (params.kernel.1, params.kernel.2);
         let kernel_pos = phase_major_positions(kernel_w, phase_step(params));
         let mut chunks = Self::build_chunks(&column_runs, params, pe);
-        let (dispatches, column_slot) =
-            Self::bundle_chunks(&mut chunks, &column_runs, &kernel_pos, pe);
+        let (dispatches, column_words) = Self::bundle_chunks(
+            &mut chunks,
+            &column_runs,
+            &kernel_pos,
+            layer.output.channels,
+            pe,
+        );
         let max_taps = chunks.iter().map(|c| c.taps).max().unwrap_or(0);
 
         // The machine gathers over the zero-inserted domain, so for
@@ -510,7 +523,7 @@ impl LayerPlan {
             row_order,
             chunks,
             dispatches,
-            column_slot,
+            column_words,
             kernel,
             column_sums,
             abs_column_sums,
@@ -538,7 +551,7 @@ impl LayerPlan {
             + bytes(&self.chunks)
             + bytes(&self.dispatches)
             + dispatches
-            + bytes(&self.column_slot)
+            + bytes(&self.column_words)
             + bytes(&self.kernel)
             + bytes(&self.column_sums)
             + bytes(&self.abs_column_sums)
@@ -1090,25 +1103,20 @@ fn gather_columns<const R: usize>(starts: &[usize], rows: &[f32], row_len: usize
     }
 }
 
-/// Adds one channel's produced partial sums into its output words, in
-/// order: `out` yields the word each of `slots` lands on. An injected emit
-/// fault drops the contribution (stuck lane, dropped µop) or adds it twice
-/// (duplicated µop).
-pub(crate) fn add_slots<'a>(
-    out: impl Iterator<Item = &'a mut f32>,
-    slots: &[f32],
-    fault: Option<EmitFault>,
-) {
+/// Adds a run of produced partial sums into the output words they land on,
+/// `out[i] += produced[i]`. An injected emit fault drops the contribution
+/// (stuck lane, dropped µop) or adds it twice (duplicated µop).
+pub(crate) fn add_slots(out: &mut [f32], produced: &[f32], fault: Option<EmitFault>) {
     match fault {
         Some(EmitFault::StuckLane | EmitFault::DroppedUop) => {}
         Some(EmitFault::DuplicatedUop) => {
-            for (out, &value) in out.zip(slots) {
+            for (out, &value) in out.iter_mut().zip(produced) {
                 *out += value;
                 *out += value;
             }
         }
         None => {
-            for (out, &value) in out.zip(slots) {
+            for (out, &value) in out.iter_mut().zip(produced) {
                 *out += value;
             }
         }
@@ -1623,10 +1631,11 @@ mod tests {
 
     /// Asserts the dispatch-bundling invariants of one plan: every
     /// consequential column sits in exactly one dispatch (at its chunk's
-    /// offset and slot, reading its own input column), a dispatch's columns
-    /// share one tap count, the column slots are a permutation of
-    /// `0..width`, and every dispatch's programs, streams and channel groups
-    /// fit the PE they were planned for.
+    /// offset, reading its own input column, with its words in the
+    /// dispatch's `[channel][column]` block), a dispatch's columns share one
+    /// tap count, the word map is a bijection, and every dispatch's
+    /// programs, streams and channel groups fit the PE they were planned
+    /// for.
     fn check_dispatch_invariants(layer: &Layer, plan: &LayerPlan, pe: &PeConfig) {
         let params = layer.op.conv_params().unwrap();
         let width = layer.output.width;
@@ -1648,7 +1657,10 @@ mod tests {
                         run.taps, dispatch.taps,
                         "column {ox} in a mixed-tap dispatch"
                     );
-                    assert_eq!(plan.column_slot[ox], dispatch.slot + cols + c);
+                    assert_eq!(
+                        plan.column_words[ox],
+                        (dispatch.word + cols + c, dispatch.cols)
+                    );
                     assert_eq!(dispatch.input_starts[cols + c], run.input_start);
                 }
                 cols += chunk.cols;
@@ -1666,9 +1678,58 @@ mod tests {
                 "column {ox}: dispatched iff consequential"
             );
         }
-        let mut slots = plan.column_slot.clone();
-        slots.sort_unstable();
-        assert_eq!(slots, (0..width).collect::<Vec<_>>());
+        assert_words_biject(&plan.column_words, layer.output.channels);
+    }
+
+    /// Asserts that `(co, ox) ↦ base + co × stride` over `column_words` hits
+    /// every word of a `channels × width` shard row exactly once.
+    fn assert_words_biject(column_words: &[(usize, usize)], channels: usize) {
+        let mut hits = vec![0u32; channels * column_words.len()];
+        for co in 0..channels {
+            for &(base, stride) in column_words {
+                hits[base + co * stride] += 1;
+            }
+        }
+        assert!(hits.iter().all(|&h| h == 1), "word map is not a bijection");
+    }
+
+    /// Every layer of every zoo generator and discriminator (channel-capped
+    /// at 64 and depth-flattened, as the engine plans them), plus transposed
+    /// convolutions whose stride exceeds their kernel (so several columns
+    /// read no tap and fill the trailing block), keeps the dispatch-bundling
+    /// invariants on the deep simulation PE and the Table III PE — among
+    /// them that the `(co, ox) → word` map is a bijection onto the shard
+    /// row's `co_count × width` words.
+    #[test]
+    fn column_words_biject_for_every_zoo_geometry() {
+        let mut layers: Vec<Layer> = Vec::new();
+        for model in ganax_models::zoo::all_models() {
+            for network in [&model.generator, &model.discriminator] {
+                layers.extend(network.reduced(64).unwrap().layers().iter().cloned());
+            }
+        }
+        for (kernel, stride) in [(1, 2), (2, 3), (2, 4)] {
+            let params = ConvParams::transposed_2d(kernel, stride, 0);
+            let shape = Shape::new_2d(3, 5, 7);
+            layers.push(Layer::conv("gappy", shape, 4, params, Activation::None).unwrap());
+        }
+        let table_iii =
+            GanaxMachine::new(GanaxConfig::paper().with_sim_pe(PeConfig::paper()).unwrap());
+        let (mut planned, mut idle) = (0, 0);
+        for layer in layers.iter().filter(|l| l.op.conv_params().is_some()) {
+            planned += 1;
+            let (_, weights) = layer_tensors(layer, 5);
+            for machine in [GanaxMachine::paper(), table_iii] {
+                let plan = machine.plan_layer(layer, &weights).unwrap();
+                check_dispatch_invariants(layer, &plan.plan, &plan.pe_config);
+            }
+            let params = layer.op.conv_params().unwrap();
+            idle += (0..layer.output.width)
+                .filter(|&ox| column_run(ox, &params, layer.input.width).is_none())
+                .count();
+        }
+        assert!(planned > 50, "only {planned} conv layers planned");
+        assert!(idle > 10, "only {idle} inconsequential columns covered");
     }
 
     /// On DCGAN at 64 channels each transposed convolution bundles its

@@ -116,7 +116,9 @@ impl AxisPhases {
     pub fn consequential_taps(&self, phase: usize) -> Vec<usize> {
         let phase = phase % self.step;
         (0..self.kernel)
-            .filter(|tap| (phase + tap + self.step - (self.border % self.step)) % self.step == 0)
+            .filter(|tap| {
+                (phase + tap + self.step - (self.border % self.step)).is_multiple_of(self.step)
+            })
             .collect()
     }
 
@@ -131,7 +133,7 @@ impl AxisPhases {
                     return false;
                 }
                 let rel = expanded - self.border;
-                rel % self.step == 0 && rel / self.step < self.input_extent
+                rel.is_multiple_of(self.step) && rel / self.step < self.input_extent
             })
             .collect()
     }

@@ -80,11 +80,7 @@ impl TrafficModel {
                     .iter()
                     .map(|g| g.num_rows * g.consequential_nodes as u64)
                     .sum();
-                if rows == 0 {
-                    1
-                } else {
-                    (weighted / rows).max(1)
-                }
+                weighted.checked_div(rows).map_or(1, |n| n.max(1))
             }
         };
         let global_buffer_reads = effective_input * taps_per_input_row + weight_words;

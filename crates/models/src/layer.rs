@@ -241,7 +241,7 @@ mod tests {
         // No inserted zeros; only the implicit border makes a few taps fall
         // outside, so the fraction is small but non-negative.
         let frac = layer.inconsequential_fraction();
-        assert!(frac >= 0.0 && frac < 0.1, "fraction = {frac}");
+        assert!((0.0..0.1).contains(&frac), "fraction = {frac}");
     }
 
     #[test]

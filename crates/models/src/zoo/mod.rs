@@ -61,9 +61,12 @@ pub fn reduced_generator(name: &str, max_channels: usize) -> Option<crate::Netwo
 mod tests {
     use super::*;
 
-    /// Table I of the paper: layer counts per model, in the order
-    /// (generator conv, generator tconv, discriminator conv, discriminator tconv).
-    const TABLE_ONE: &[(&str, u16, (usize, usize, usize, usize))] = &[
+    /// Layer counts in the order (generator conv, generator tconv,
+    /// discriminator conv, discriminator tconv).
+    type LayerCounts = (usize, usize, usize, usize);
+
+    /// Table I of the paper: name, year and layer counts per model.
+    const TABLE_ONE: &[(&str, u16, LayerCounts)] = &[
         ("3D-GAN", 2016, (0, 4, 5, 0)),
         ("ArtGAN", 2017, (0, 5, 6, 0)),
         ("DCGAN", 2015, (0, 4, 5, 0)),

@@ -237,7 +237,7 @@ impl UopFifo {
     /// virtual µops remain: parity of the remaining count at that position
     /// decides `Repeat` (even) vs `Mac` (odd).
     fn virtual_at(total: usize, i: usize) -> ExecUop {
-        if (total - i) % 2 == 0 {
+        if (total - i).is_multiple_of(2) {
             ExecUop::Repeat
         } else {
             ExecUop::Mac
@@ -315,8 +315,10 @@ impl UopFifo {
     /// what it holds — the only queue the burst-stepping PE retires as one
     /// dispatch; any other queue single-steps.
     pub(crate) fn uniform_pairs(&self) -> Option<usize> {
-        (self.inner.items.is_empty() && self.virtual_uops > 0 && self.virtual_uops % 2 == 0)
-            .then_some(self.virtual_uops / 2)
+        (self.inner.items.is_empty()
+            && self.virtual_uops > 0
+            && self.virtual_uops.is_multiple_of(2))
+        .then_some(self.virtual_uops / 2)
     }
 
     /// Pops the oldest µop, if any.
@@ -367,7 +369,7 @@ impl UopFifo {
     pub(crate) fn iter(&self) -> impl Iterator<Item = &ExecUop> {
         let total = self.virtual_uops;
         self.inner.items.iter().chain((0..total).map(move |i| {
-            if (total - i) % 2 == 0 {
+            if (total - i).is_multiple_of(2) {
                 &REPEAT_UOP
             } else {
                 &MAC_UOP

@@ -576,16 +576,52 @@ fn retire_canonical(r: usize, input: &[f32], weights: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Columns one [`canonical_kernel`] block retires together once `R` reaches
+/// 3 taps.
+const RETIRE_BLOCK: usize = 8;
+
 /// [`retire_canonical`] for a compile-time tap count `R`: the tap loop
 /// runs over fixed-size arrays, so it unrolls with no bounds checks.
+///
+/// One and two taps vectorise as written. From three taps on, the `cols ×
+/// R` stream interleaves too widely for that, so each block of
+/// [`RETIRE_BLOCK`] columns first multiplies its contiguous `x[j]·w[j]`
+/// run (input and weight words share the index `j`), then folds the
+/// products tap by tap into one accumulator per column, starting from
+/// `0.0`. Every program still performs exactly the execute µ-engine's
+/// operations in its order — Rust never contracts `a * b + c` — so the
+/// results are bit-identical; the columns past the last whole block take
+/// the per-column loop.
 fn canonical_kernel<const R: usize>(input: &[f32], weights: &[f32], out: &mut [f32]) {
-    let (columns, _) = input.as_chunks::<R>();
-    let (channels, _) = weights.as_chunks::<R>();
-    for (channel, slots) in channels
-        .chunks_exact(columns.len())
-        .zip(out.chunks_exact_mut(columns.len()))
+    let cols = input.len() / R;
+    for (channel, slots) in weights
+        .chunks_exact(input.len())
+        .zip(out.chunks_exact_mut(cols))
     {
-        for ((x, w), slot) in columns.iter().zip(channel).zip(slots) {
+        let (mut x, mut w, mut slots) = (input, channel, slots);
+        if R >= 3 {
+            let mut xs = input.chunks_exact(R * RETIRE_BLOCK);
+            let mut ws = channel.chunks_exact(R * RETIRE_BLOCK);
+            let mut blocks = slots.chunks_exact_mut(RETIRE_BLOCK);
+            for ((x, w), block) in (&mut xs).zip(&mut ws).zip(&mut blocks) {
+                let mut products = [[0.0f32; R]; RETIRE_BLOCK];
+                let flat = products.as_flattened_mut();
+                for ((p, &x), &w) in flat.iter_mut().zip(x).zip(w) {
+                    *p = x * w;
+                }
+                let mut acc = [0.0f32; RETIRE_BLOCK];
+                for t in 0..R {
+                    for (acc, p) in acc.iter_mut().zip(&products) {
+                        *acc += p[t];
+                    }
+                }
+                block.copy_from_slice(&acc);
+            }
+            (x, w, slots) = (xs.remainder(), ws.remainder(), blocks.into_remainder());
+        }
+        let (columns, _) = x.as_chunks::<R>();
+        let (taps, _) = w.as_chunks::<R>();
+        for ((x, w), slot) in columns.iter().zip(taps).zip(slots) {
             let mut acc = 0.0f32;
             for t in 0..R {
                 acc += x[t] * w[t];
@@ -1230,6 +1266,69 @@ mod tests {
                 prop_assert_eq!(fast_cycles, u64::from(taps * cols * group));
                 prop_assert_eq!(ref_cycles, fast_cycles, "cycle counts diverged");
                 prop_assert_eq!(&reference, &fast, "PE state diverged");
+            }
+        }
+
+        /// `retire_canonical` equals, bit for bit, each program folded on
+        /// its own the way the execute µ-engine does (`acc = 0.0; acc +=
+        /// x·w` per tap) — for every tap count up to two past the
+        /// specialised ones, for column counts on and off the
+        /// `RETIRE_BLOCK` grid, and for operands drawn to include ±0.0,
+        /// NaNs, ±∞ and subnormals next to arbitrary bit patterns (which
+        /// overflow to ±∞ and cancel to NaN often).
+        #[test]
+        fn prop_retire_canonical_matches_sequential_fold(
+            taps in 1usize..6,
+            cols in 1usize..(3 * RETIRE_BLOCK + 2),
+            group in 1usize..5,
+            input_picks in proptest::collection::vec(0u64..1 << 36, 128),
+            weight_picks in proptest::collection::vec(0u64..1 << 36, 512),
+        ) {
+            const SPECIAL: [u32; 12] = [
+                0x0000_0000, // +0.0
+                0x8000_0000, // -0.0
+                0x7fc0_0000, // quiet NaN
+                0xffc0_0001, // negative NaN with a payload
+                0x7f80_0000, // +inf
+                0xff80_0000, // -inf
+                0x0000_0001, // smallest subnormal
+                0x807f_ffff, // largest negative subnormal
+                0x0080_0000, // smallest normal
+                0x7f7f_ffff, // largest finite
+                0x3f80_0000, // 1.0
+                0xbf80_0000, // -1.0
+            ];
+            // Half the draws pick a special value, half an arbitrary word.
+            let operand = |pick: u64| {
+                let bits = pick as u32;
+                if pick >> 35 == 1 {
+                    f32::from_bits(SPECIAL[bits as usize % SPECIAL.len()])
+                } else {
+                    f32::from_bits(bits)
+                }
+            };
+            let stream = cols * taps;
+            let input: Vec<f32> = input_picks[..stream].iter().map(|&p| operand(p)).collect();
+            let weights: Vec<f32> =
+                weight_picks[..group * stream].iter().map(|&p| operand(p)).collect();
+            let mut out = vec![0.0f32; group * cols];
+            retire_canonical(taps, &input, &weights, &mut out);
+            for k in 0..group {
+                for c in 0..cols {
+                    let mut acc = 0.0f32;
+                    for t in 0..taps {
+                        acc += input[c * taps + t] * weights[(k * cols + c) * taps + t];
+                    }
+                    // Rust leaves the sign and payload of a NaN result
+                    // unspecified (LLVM may commute an add of two NaNs), so
+                    // a NaN only has to meet a NaN.
+                    let got = out[k * cols + c];
+                    prop_assert!(
+                        got.to_bits() == acc.to_bits() || (got.is_nan() && acc.is_nan()),
+                        "taps {} cols {} channel {} column {}: {:#x} != {:#x}",
+                        taps, cols, k, c, got.to_bits(), acc.to_bits()
+                    );
+                }
             }
         }
 

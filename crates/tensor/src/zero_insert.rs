@@ -78,7 +78,7 @@ impl ZeroInsertion {
             return None;
         }
         let rel = expanded - border;
-        if rel % step != 0 {
+        if !rel.is_multiple_of(step) {
             return None;
         }
         let idx = rel / step;

@@ -301,7 +301,7 @@ mod tests {
         #[test]
         fn macro_samples_within_range(a in 1usize..10, b in 0u64..5) {
             prop_assume!(a != 9);
-            prop_assert!(a >= 1 && a < 9);
+            prop_assert!((1..9).contains(&a));
             prop_assert_eq!(b, b);
         }
     }
