@@ -1,6 +1,6 @@
-//! Machine-focused benches: the PE's closed-form dispatch retire versus the
-//! same program single-stepped, plus the engine fast path versus the seed
-//! single-step serial path on one layer.
+//! Machine-focused benches: the PE's closed-form dispatch and row-block
+//! retires versus the same program single-stepped, plus the engine fast path
+//! versus the seed single-step serial path on one layer.
 //!
 //! The wall-clock comparison that feeds `BENCH_machine.json` lives in the
 //! `bench_machine` binary (it needs a JSON emitter, not Criterion's report);
@@ -43,6 +43,37 @@ fn bench_machine(c: &mut Criterion) {
             let cycles = pe.step_burst(1_000);
             assert!(pe.is_idle(), "the dispatch must retire in one call");
             std::hint::black_box((cycles, pe.read_output(0)))
+        })
+    });
+
+    // The same dispatch over 8 resident rows, retired the way the engine's
+    // `run_resident_shard` retires a row block: one dispatch armed at row 0
+    // and one `retire_block` call that moves the input offset from row to
+    // row and hands each row's run to a sink.
+    group.bench_function("pe_block_retire_8x3x8", |b| {
+        let cols = 8u16;
+        let taps = 3u16;
+        let channels = 2u16;
+        let rows = 8u16;
+        let stream = cols * taps;
+        let inputs: Vec<f32> = (0..rows * stream).map(|i| i as f32 * 0.25).collect();
+        let weights: Vec<f32> = (0..channels * stream)
+            .map(|i| 1.0 - i as f32 * 0.01)
+            .collect();
+        let mut pe = ProcessingEngine::new(PeConfig::roomy());
+        b.iter(|| {
+            pe.load_input(&inputs);
+            pe.load_weights(&weights);
+            pe.configure_linear(AddrGenKind::Input, 0, 1, stream, channels);
+            pe.configure_linear(AddrGenKind::Weight, 0, 1, channels * stream, 1);
+            pe.configure_linear(AddrGenKind::Output, 0, 1, channels * cols, 1);
+            pe.start_all();
+            pe.set_repeat(taps);
+            pe.try_push_mac_pairs((channels * cols) as usize).unwrap();
+            let mut sum = 0.0f32;
+            let retired = pe.retire_block(rows.into(), stream.into(), |_, run| sum += run[0]);
+            assert!(retired && pe.is_idle(), "the block must retire in one call");
+            std::hint::black_box(sum)
         })
     });
 

@@ -79,10 +79,9 @@ use ganax_tensor::Tensor;
 
 use crate::config::IntegrityMode;
 use crate::machine::{
-    accumulate_input_checksum, add_slots, dispatch_ordinal_base, gather_streams,
-    load_dispatch_weights, retire_group, row_checksum_ok, shard_for_position, Dispatch,
-    GanaxMachine, LayerPlan, MachineError, MachineRun, PlannedLayer, RowChecksum, ShardFaults,
-    MAX_HEAL_ROUNDS,
+    accumulate_input_checksum, add_slots, dispatch_group, dispatch_ordinal_base, gather_streams,
+    load_dispatch_weights, row_checksum_ok, shard_for_position, Dispatch, GanaxMachine, LayerPlan,
+    MachineError, MachineRun, PlannedLayer, RowChecksum, ShardFaults, MAX_HEAL_ROUNDS,
 };
 use crate::network::{
     finish_layer_output, host_projection, LayerExecution, NetworkExecution, NetworkWeights,
@@ -420,14 +419,19 @@ fn worker_loop(shared: Arc<PoolShared>) {
 /// slot][row word]`, zeroed here in place; each row is dispatch-major,
 /// `[dispatch][channel][column]`, as [`column_words`] maps it).
 ///
-/// The loop nests `ky → ci → dispatch → row block → channel group → row` so
-/// a gathered weight stream, staged once per `(dispatch, group)`, serves
-/// every resident row of every batch element, and a whole block of gathered
-/// input streams stays resident in the input scratchpad across all channel
-/// groups (each dispatch selects its stream through the input generator's
-/// offset register). A dispatch bundles every equal-tap chunk of the row, and
-/// the row keeps each dispatch's channels side by side, so a retire's whole
-/// `group × cols` run of partial sums lands with one contiguous add.
+/// The loop nests `ky → ci → dispatch → row block → channel group` so a
+/// gathered weight stream, staged once per `(dispatch, group)`, serves every
+/// resident row of every batch element, and a whole block of gathered input
+/// streams stays resident in the input scratchpad across all channel groups.
+/// Each `(dispatch, group, block)` makes one PE call: `dispatch_group` arms
+/// the dispatch at the block's first stream, and
+/// [`ProcessingEngine::retire_block`] retires every row of the block,
+/// moving the input generator's offset one stream per row, proving the
+/// dispatch shape and settling the counters once. Its sink adds each row's
+/// produced run into the shard buffer ([`add_slots`], or [`emit_faulty`]
+/// under armed emit faults). A dispatch bundles every equal-tap chunk of the
+/// row, and the row keeps each dispatch's channels side by side, so a row's
+/// whole `group × cols` run of partial sums lands with one contiguous add.
 ///
 /// Per column and channel this performs exactly the single-step reference's
 /// traffic (`taps` input + `taps` weight reads, two µop fetches, one
@@ -597,22 +601,16 @@ fn run_resident_shard(
                             ky,
                             weight_faults.then_some((faults, ordinals.as_slice())),
                         );
-                        for (b, &(e, slot, _iy)) in block.iter().enumerate() {
-                            let produced = retire_group(
-                                pe,
-                                dispatch.taps,
-                                dispatch.cols,
-                                group,
-                                b * stream,
-                                layer,
-                            )?;
+                        dispatch_group(pe, dispatch.taps, dispatch.cols, group, layer)?;
+                        let retired = pe.retire_block(block.len(), stream, |b, produced| {
+                            let (e, slot, _iy) = block[b];
                             let base = (e * rows.len() + slot) * row_stride
                                 + dispatch.word
                                 + co0 * dispatch.cols;
                             let out = &mut buffer[base..][..produced.len()];
                             if !emit_faults {
                                 add_slots(out, produced, None);
-                                continue;
+                                return;
                             }
                             let runs = out
                                 .chunks_exact_mut(dispatch.cols)
@@ -629,6 +627,14 @@ fn run_resident_shard(
                                     produced,
                                 );
                             }
+                        });
+                        // Every dispatch the plan issues has the canonical
+                        // shape; a refused block means that contract broke,
+                        // and is reported rather than single-stepped.
+                        if !retired {
+                            return Err(MachineError::Timeout {
+                                layer: layer.name.clone(),
+                            });
                         }
                         co0 += group;
                     }
@@ -1527,6 +1533,54 @@ mod tests {
         NetworkWeights::new(network, tensors).unwrap()
     }
 
+    /// A transposed convolution whose padding reaches its kernel crops its
+    /// output (tensor maps tconv k3 s2 p3 on 2×4×4 to 3×3); its
+    /// zero-insertion border would be negative. Every machine entry point
+    /// refuses it with a typed error at plan/compile time, in debug builds
+    /// (which used to panic on the `usize` underflow) and release builds
+    /// (which used to return wrong outputs).
+    #[test]
+    fn cropping_transposed_convolutions_are_refused_at_plan_time() {
+        let net = NetworkBuilder::new("crop", Shape::new_2d(2, 4, 4))
+            .tconv(
+                "crop",
+                2,
+                ConvParams::transposed_2d(3, 2, 3),
+                Activation::None,
+            )
+            .build()
+            .unwrap();
+        let layer = &net.layers()[0];
+        assert_eq!(layer.output, Shape::new_2d(2, 3, 3));
+        let weights = toy_weights(&net, 5);
+        let input = Tensor::deterministic(layer.input, 7);
+        let machine = GanaxMachine::paper();
+        let unsupported = |result: Result<(), MachineError>, what: &str| {
+            assert!(
+                matches!(result, Err(MachineError::Unsupported { .. })),
+                "{what}: {result:?}"
+            );
+        };
+        unsupported(
+            machine.plan_layer(layer, weights.weight(0)).map(drop),
+            "plan_layer",
+        );
+        unsupported(
+            machine
+                .execute_layer_reference(layer, &input, weights.weight(0))
+                .map(drop),
+            "execute_layer_reference",
+        );
+        unsupported(
+            machine
+                .execute_layer(layer, &input, weights.weight(0))
+                .map(drop),
+            "execute_layer",
+        );
+        let engine = InferenceEngine::new(machine, 1);
+        unsupported(engine.compile(&net, &weights).map(drop), "compile");
+    }
+
     #[test]
     fn compiled_network_is_reused_without_replanning() {
         let net = toy_network();
@@ -1933,9 +1987,17 @@ mod tests {
                 poisoned.iter().all(|&row| row == 3),
                 "pool {pool}: poison outside the targeted row"
             );
+            // Rust leaves the sign and payload of a NaN result unspecified,
+            // so every NaN hashes as the one canonical quiet NaN: the pin
+            // moves only when a value does.
             let mut hash = crate::config::FNV_OFFSET;
             for value in last.data() {
-                crate::config::fnv1a64(&mut hash, &value.to_bits().to_le_bytes());
+                let bits = if value.is_nan() {
+                    0x7fc0_0000
+                } else {
+                    value.to_bits()
+                };
+                crate::config::fnv1a64(&mut hash, &bits.to_le_bytes());
             }
             assert_eq!(
                 hash, 0x92a9_f5d4_62af_59be,

@@ -26,8 +26,9 @@
 //!   allocation-free;
 //! * **one closed-form dispatch shape**: every dispatch the engine issues is
 //!   a run of virtual `repeat`+`mac` pairs over one replayed input stream,
-//!   and [`ProcessingEngine::step_burst`] retires it in one call instead of
-//!   one cycle at a time; everything else single-steps;
+//!   and [`ProcessingEngine::retire_block`] retires a whole block of rows of
+//!   it in one call instead of one cycle at a time; everything else
+//!   single-steps;
 //! * **a multi-threaded PE-array scheduler** shards whole output rows across
 //!   the pool's worker PEs in wide slices of the plan's phase-major row order
 //!   (the Figure 5 output-row reorganization, see [`shard_for_position`]).
@@ -837,8 +838,10 @@ impl GanaxMachine {
     /// count.
     ///
     /// # Errors
-    /// Returns [`MachineError::Unsupported`] for projections and volumetric
-    /// layers, [`MachineError::ShapeMismatch`] when the tensors do not match
+    /// Returns [`MachineError::Unsupported`] (at plan time) for projections,
+    /// volumetric layers and transposed convolutions whose padding is not
+    /// below the kernel on some axis (they crop their output),
+    /// [`MachineError::ShapeMismatch`] when the tensors do not match
     /// the layer, and [`MachineError::Timeout`] if a PE fails to drain. An
     /// injected worker panic is recovered by respawn and requeue; only a
     /// persistent one surfaces, as [`MachineError::WorkerPanic`].
@@ -1032,6 +1035,20 @@ impl GanaxMachine {
                 detail: "the cycle-level machine covers 2-D layers".into(),
             });
         }
+        // Such a layer crops its output (its zero-insertion border
+        // `kernel - 1 - padding` would be negative), which the plan cannot
+        // express.
+        let (kernel, padding) = (params.kernel, params.padding);
+        if layer.is_tconv()
+            && (padding.0 >= kernel.0 || padding.1 >= kernel.1 || padding.2 >= kernel.2)
+        {
+            return Err(MachineError::Unsupported {
+                detail: format!(
+                    "transposed convolution with padding {padding:?} not below kernel \
+                     {kernel:?} on some axis (a cropped output)"
+                ),
+            });
+        }
         let expected_weights = Shape::filter(
             layer.output.channels,
             layer.input.channels,
@@ -1176,89 +1193,31 @@ pub(crate) fn load_dispatch_weights(
     (group * stream) as u64
 }
 
-/// Dispatches one `group × cols` program of `taps`-tap columns against the
-/// input stream resident at `input_base`, retires it with one
-/// [`ProcessingEngine::step_burst`] call, and returns the produced partial
-/// sums: `group` channel runs of `cols` words, channel-major. This is the
-/// hot dispatch body of the engine's resident-PE worker.
-///
-/// The dispatch is always in the PE's canonical closed-form shape, so one
-/// call drains it; a PE that is not idle afterwards means the shape contract
-/// broke, and is reported rather than single-stepped.
-///
-/// # Errors
-/// [`MachineError::Timeout`] when the PE is not idle after the call, and
-/// [`MachineError::UopOverflow`] from the dispatch.
-pub(crate) fn retire_group<'a>(
-    pe: &'a mut ProcessingEngine,
-    taps: usize,
-    cols: usize,
-    group: usize,
-    input_base: usize,
-    layer: &Layer,
-) -> Result<&'a [f32], MachineError> {
-    dispatch_group(pe, taps, cols, group, input_base, layer)?;
-    pe.step_burst(column_cycle_budget(taps) * (cols * group) as u64);
-    if !pe.is_idle() {
-        return Err(MachineError::Timeout {
-            layer: layer.name.clone(),
-        });
-    }
-    Ok(&pe.output_contents()[..group * cols])
-}
-
 /// Configures the index generators for one `group × cols` dispatch and
 /// enqueues its µop pairs: the input generator replays the shared
-/// `cols × taps` stream once per channel, the weight generator walks the
-/// concatenated per-channel streams, and the output generator hands each
-/// program its own word. The pairs are pushed virtually
+/// `cols × taps` stream at word 0 once per channel, the weight generator
+/// walks the concatenated per-channel streams, and the output generator
+/// hands each program its own word. The pairs are pushed virtually
 /// ([`ProcessingEngine::try_push_mac_pairs`]), so the µop FIFO records a
-/// count instead of materializing `2 × cols × group` entries and the PE
-/// retires the whole dispatch in closed form.
+/// count instead of materializing `2 × cols × group` entries. The engine
+/// stages a whole block of rows' streams back to back from word 0 and
+/// retires this dispatch as the block's first row in one
+/// [`ProcessingEngine::retire_block`], which moves the input generator's
+/// constant-offset register from stream to stream.
 ///
-/// `input_base` selects which resident input stream the dispatch reads: the
-/// input generator walks `[input_base, input_base + stream)` through its
-/// constant-offset register: the engine stages a whole block of rows' streams
-/// and addresses one per dispatch.
-fn dispatch_group(
+/// # Errors
+/// [`MachineError::UopOverflow`] when the µop FIFO cannot hold the pairs.
+pub(crate) fn dispatch_group(
     pe: &mut ProcessingEngine,
     taps: usize,
     cols: usize,
     group: usize,
-    input_base: usize,
     layer: &Layer,
 ) -> Result<(), MachineError> {
     let stream = taps * cols;
-    pe.configure_generator(
-        AddrGenKind::Input,
-        GeneratorConfig {
-            addr: 0,
-            offset: input_base as u16,
-            step: 1,
-            end: stream as u16,
-            repeat: group as u16,
-        },
-    );
-    pe.configure_generator(
-        AddrGenKind::Weight,
-        GeneratorConfig {
-            addr: 0,
-            offset: 0,
-            step: 1,
-            end: (group * stream) as u16,
-            repeat: 1,
-        },
-    );
-    pe.configure_generator(
-        AddrGenKind::Output,
-        GeneratorConfig {
-            addr: 0,
-            offset: 0,
-            step: 1,
-            end: (group * cols) as u16,
-            repeat: 1,
-        },
-    );
+    pe.configure_linear(AddrGenKind::Input, 0, 1, stream as u16, group as u16);
+    pe.configure_linear(AddrGenKind::Weight, 0, 1, (group * stream) as u16, 1);
+    pe.configure_linear(AddrGenKind::Output, 0, 1, (group * cols) as u16, 1);
     pe.start_all();
     pe.set_repeat(taps as u16);
     pe.try_push_mac_pairs(cols * group)

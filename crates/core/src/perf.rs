@@ -68,6 +68,14 @@ impl GanaxModel {
     }
 
     /// Runs one layer and returns its statistics.
+    ///
+    /// Transposed convolutions whose padding is not below the kernel on some
+    /// axis crop their output, and the model does not cover them: their
+    /// zero-insertion border would be negative, so a debug build panics and
+    /// a release build returns meaningless statistics. The cycle-level
+    /// machine refuses them with [`MachineError::Unsupported`].
+    ///
+    /// [`MachineError::Unsupported`]: crate::MachineError::Unsupported
     pub fn run_layer(&self, layer: &Layer) -> LayerStats {
         let geometry = LayerGeometry::for_layer(layer);
         let array = self.base().array;

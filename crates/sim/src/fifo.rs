@@ -392,6 +392,14 @@ impl UopFifo {
         self.virtual_uops -= from_virtual;
         self.inner.pops += from_virtual as u64;
     }
+
+    /// Records `n` µops pushed and popped without being queued — the
+    /// dispatches of a block after its first, which retire on the queued
+    /// one's proof. Keeps the push/pop counters identical to issuing each.
+    pub(crate) fn note_passthrough(&mut self, n: u64) {
+        self.inner.pushes += n;
+        self.inner.pops += n;
+    }
 }
 
 /// Virtual and materialized queues with the same logical µop sequence and

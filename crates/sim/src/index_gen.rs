@@ -147,7 +147,7 @@ impl StridedIndexGenerator {
     /// the *relative* `(current, end)` pair. Burst-stepping adds
     /// [`GeneratorConfig::offset`] (see [`StridedIndexGenerator::offset`]) to
     /// turn the window into absolute scratchpad addresses and replaces
-    /// per-tick calls with slice windows; [`Self::advance_wrapping`] settles
+    /// per-tick calls with slice windows; [`Self::advance_runs`] settles
     /// the generator state afterwards. Covers both single final rounds and
     /// multi-round replays (the machine's repeated operand streams, including
     /// the engine's block-resident streams addressed through `offset`).
@@ -164,13 +164,16 @@ impl StridedIndexGenerator {
         self.config.offset
     }
 
-    /// Advances the generator state by exactly `n` ticks in O(1). Valid only
-    /// under the conditions [`Self::burst_wrap_window`] reported, with `n`
-    /// not exceeding the remaining addresses.
-    pub(crate) fn advance_wrapping(&mut self, n: u64) {
+    /// Settles `runs` runs of exactly `n` ticks in O(1), each replayed from
+    /// the current state (a block of dispatches re-issues one configuration
+    /// per row): the generator ends where one run leaves it, having
+    /// generated `runs × n` addresses. Valid only under the conditions
+    /// [`Self::burst_wrap_window`] reported, with `n` not exceeding the
+    /// remaining addresses.
+    pub(crate) fn advance_runs(&mut self, n: u64, runs: u64) {
         debug_assert!(self.burst_wrap_window().is_some());
         debug_assert!(n <= self.remaining_addresses_up_to(n + 1));
-        self.generated += n;
+        self.generated += n * runs;
         let end = self.config.end as u64;
         let position = self.current as u64 + n;
         let wraps = (position / end) as u16;

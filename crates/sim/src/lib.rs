@@ -50,7 +50,6 @@ mod fault;
 mod fifo;
 mod index_gen;
 mod pe;
-mod pv;
 mod scratchpad;
 
 pub use access::AccessEngine;
@@ -61,5 +60,4 @@ pub use fault::{
 pub use fifo::{AddrFifo, FifoError, UopFifo};
 pub use index_gen::{GeneratorConfig, StridedIndexGenerator};
 pub use pe::{PeConfig, ProcessingEngine};
-pub use pv::ProcessingVector;
 pub use scratchpad::Scratchpad;

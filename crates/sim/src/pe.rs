@@ -2,7 +2,7 @@
 //! three scratchpad buffers.
 
 use ganax_energy::EventCounts;
-use ganax_isa::{AccessUop, AddrGenKind, ExecUop};
+use ganax_isa::{AccessReg, AccessUop, AddrGenKind, ExecUop};
 use serde::{Deserialize, Serialize};
 
 use crate::access::AccessEngine;
@@ -377,14 +377,10 @@ impl ProcessingEngine {
     /// Advances the PE by up to `budget` cycles in one call, returning how
     /// many cycles elapsed.
     ///
-    /// There is one multi-cycle path. When the execute µ-engine is idle, the
-    /// µop FIFO holds only virtual `repeat`+`mac` pairs
-    /// ([`ProcessingEngine::try_push_mac_pairs`]), and the generators are in
-    /// the machine's canonical dispatch shape — empty address FIFOs, one
-    /// step-1 `cols × repeats` input stream replayed once per channel,
-    /// step-1 weights and a contiguous output run, each supplying the whole
-    /// dispatch — its `pairs × repeats` cycles retire at once (if the budget
-    /// covers them), with outputs, `cycles()`, `busy_cycles()`,
+    /// There is one multi-cycle path. When the queued dispatch has the
+    /// canonical shape [`ProcessingEngine::retire_block`] proves and its
+    /// `pairs × repeats` cycles fit the budget, it retires at once as a
+    /// one-row block, with outputs, `cycles()`, `busy_cycles()`,
     /// [`EventCounts`] and FIFO/generator/stall bookkeeping bit-identical to
     /// calling [`ProcessingEngine::step`] that many times. Every other state
     /// takes a single [`ProcessingEngine::step`].
@@ -392,99 +388,145 @@ impl ProcessingEngine {
         if budget == 0 || self.is_idle() {
             return 0;
         }
-        if !self.execute.is_busy() {
-            if let Some(pairs) = self.uop_fifo.uniform_pairs() {
-                let pairs = pairs as u64;
-                let repeats = self.execute.repeat_register() as u64;
-                if pairs * repeats <= budget && self.retire_uniform_dispatch(pairs, repeats) {
-                    return pairs * repeats;
-                }
+        match self.retire_rows(1, 0, budget, |_, _| {}) {
+            0 => {
+                self.step();
+                1
             }
+            cycles => cycles,
         }
-        self.step();
-        1
     }
 
-    /// Retires `pairs` uniform `repeat`+`mac` programs of `repeats`
-    /// repetitions each as **one dispatch**, settling FIFO occupancy,
-    /// index-generator state, cycle counts and every [`EventCounts`] category
-    /// once in closed form instead of once per cycle. Returns `false`
-    /// (touching nothing) unless the dispatch has the canonical shape
-    /// `dispatch_group` issues, proven before any state moves:
+    /// Retires a block of `rows` canonical dispatches in one call: the
+    /// queued dispatch, then `rows - 1` re-issues of it that share its
+    /// weights, shape and generator state and differ only in the input
+    /// generator's offset, `stride` words further per row. `sink(row, run)`
+    /// receives each row's produced output run (the `pairs` words the
+    /// dispatch writes) before the next row overwrites it.
+    ///
+    /// Returns `false`, touching nothing, unless the µop FIFO holds only
+    /// virtual `repeat`+`mac` pairs ([`ProcessingEngine::try_push_mac_pairs`]),
+    /// the execute µ-engine is idle, and the dispatch has the canonical shape
+    /// the engine's dispatches have — proven once for the whole block:
     /// * all three address FIFOs empty — every address comes straight off its
     ///   generator, so FIFO traffic is pure pass-through accounting;
     /// * the input generator at the start of a step-1 `cols × repeats`
     ///   stream with at least `pairs × repeats` addresses left — the stream
-    ///   is replayed once per channel of a `pairs / cols` channel group;
+    ///   is replayed once per channel of a `pairs / cols` channel group — and
+    ///   the **last** row's window inside both the input scratchpad and the
+    ///   `u16` address space (only `tick` reproduces a wrap);
     /// * the weight generator walking `pairs × repeats` step-1 words without
-    ///   wrapping;
+    ///   wrapping, inside the weight scratchpad;
     /// * the output generator with exactly `pairs` step-1 addresses left in
-    ///   one contiguous run — the output FIFO never materializes.
+    ///   one contiguous run inside the output scratchpad — the output FIFO
+    ///   never materializes.
     ///
-    /// Windows that would wrap the `u16` address space are refused, since
-    /// only `tick` reproduces that wraparound. The arithmetic runs in
-    /// [`retire_canonical`].
-    fn retire_uniform_dispatch(&mut self, pairs: u64, repeats: u64) -> bool {
+    /// Every counter then settles once, times `rows`, and the PE ends
+    /// exactly as `rows` single dispatches leave it: the input generator's
+    /// offset at the last row's base and the last row's outputs in the
+    /// output scratchpad. The arithmetic runs in `retire_canonical`.
+    pub fn retire_block(
+        &mut self,
+        rows: usize,
+        stride: usize,
+        sink: impl FnMut(usize, &[f32]),
+    ) -> bool {
+        self.retire_rows(rows, stride, u64::MAX, sink) != 0
+    }
+
+    /// [`ProcessingEngine::retire_block`] within a cycle budget: returns the
+    /// cycles retired, or 0 when the block is refused.
+    fn retire_rows(
+        &mut self,
+        rows: usize,
+        stride: usize,
+        budget: u64,
+        mut sink: impl FnMut(usize, &[f32]),
+    ) -> u64 {
+        if rows == 0 || self.execute.is_busy() {
+            return 0;
+        }
+        let Some(programs) = self.uop_fifo.uniform_pairs() else {
+            return 0;
+        };
+        let r = self.execute.repeat_register() as usize;
+        let (pairs, n) = (programs as u64, rows as u64);
+        let total = pairs * r as u64;
+        if total.saturating_mul(n) > budget {
+            return 0;
+        }
         let in_idx = AddrGenKind::Input.index();
         let wt_idx = AddrGenKind::Weight.index();
         let out_idx = AddrGenKind::Output.index();
-        let total = pairs * repeats;
         let (gens, fifos, stall_cycles) = self.access.burst_parts();
         if fifos.iter().any(|fifo| !fifo.is_empty()) {
-            return false;
+            return 0;
         }
         let (Some(input), Some(weight), Some(output)) = (
             Window::of(&gens[in_idx]),
             Window::of(&gens[wt_idx]),
             Window::of(&gens[out_idx]),
         ) else {
-            return false;
+            return 0;
         };
-        let r = repeats as usize;
-        let programs = pairs as usize;
         let stream = input.end - input.base;
+        let input_limit = self.input.capacity().min(u16::MAX as usize + 1);
+        let last_end = stride
+            .checked_mul(rows - 1)
+            .and_then(|shift| shift.checked_add(input.end));
         let canonical = input.pos == input.base
             && stream.is_multiple_of(r)
             && programs.is_multiple_of(stream / r)
             && gens[in_idx].remaining_addresses_up_to(total) == total
-            && weight.pos + programs * r <= weight.end
-            && output.pos + programs <= output.end
+            && last_end.is_some_and(|end| end <= input_limit)
+            && weight.pos + programs * r <= weight.end.min(self.weights.capacity())
+            && output.pos + programs <= output.end.min(self.output.capacity())
             && gens[out_idx].remaining_addresses_up_to(pairs + 1) == pairs;
         if !canonical {
-            return false;
+            return 0;
         }
 
         // In fetch mode the accumulator holds the `0.0` the last completed
         // program left, so every program starts from `0.0`.
         debug_assert_eq!(self.execute.accumulator().to_bits(), 0);
-        retire_canonical(
-            r,
-            &self.input.contents()[input.base..input.end],
-            &self.weights.contents()[weight.pos..weight.pos + programs * r],
-            &mut self.output.contents_mut()[output.pos..output.pos + programs],
-        );
+        let weights = &self.weights.contents()[weight.pos..weight.pos + programs * r];
+        let run = output.pos..output.pos + programs;
+        for row in 0..rows {
+            let base = input.base + row * stride;
+            retire_canonical(
+                r,
+                &self.input.contents()[base..base + stream],
+                weights,
+                &mut self.output.contents_mut()[run.clone()],
+            );
+            sink(row, &self.output.contents()[run.clone()]);
+        }
 
-        // Settle once per dispatch what single-stepping settles once per
-        // cycle: µop fetches, operand pass-through and generator advances,
-        // output-generator stalls against the never-popped FIFO, scratchpad
-        // access counters, and the execute µ-engine's program count.
+        // Settle once per block what single-stepping settles once per cycle:
+        // µop fetches and FIFO traffic, operand pass-through and generator
+        // advances, output-generator stalls against the never-popped FIFO,
+        // scratchpad access counters, and the execute µ-engine's program
+        // count — each row replays the same dispatch, so every term is one
+        // dispatch's times `n`.
         let out_cap = fifos[out_idx].capacity() as u64;
         self.uop_fifo.consume_front(2 * programs);
-        self.uop_fetches += 2 * pairs;
-        fifos[in_idx].note_passthrough(total);
-        gens[in_idx].advance_wrapping(total);
-        fifos[wt_idx].note_passthrough(total);
-        gens[wt_idx].advance_wrapping(total);
-        *stall_cycles += uniform_output_stalls(pairs, repeats, out_cap);
-        fifos[out_idx].note_passthrough(pairs);
-        gens[out_idx].advance_wrapping(pairs);
-        self.input.charge_reads(total);
-        self.weights.charge_reads(total);
-        self.output.charge_writes(pairs);
-        self.execute.settle_mac_programs(total);
-        self.cycles += total;
-        self.busy_cycles += total;
-        true
+        self.uop_fifo.note_passthrough(2 * pairs * (n - 1));
+        self.uop_fetches += 2 * pairs * n;
+        fifos[in_idx].note_passthrough(total * n);
+        gens[in_idx].advance_runs(total, n);
+        gens[in_idx].configure(AccessReg::Offset, (input.base + (rows - 1) * stride) as u16);
+        fifos[wt_idx].note_passthrough(total * n);
+        gens[wt_idx].advance_runs(total, n);
+        *stall_cycles += uniform_output_stalls(pairs, r as u64, out_cap) * n;
+        fifos[out_idx].note_passthrough(pairs * n);
+        gens[out_idx].advance_runs(pairs, n);
+        self.input.charge_reads(total * n);
+        self.weights.charge_reads(total * n);
+        self.output.charge_writes(pairs * n);
+        self.execute.settle_mac_programs(total * n);
+        self.cycles += total * n;
+        self.busy_cycles += total * n;
+        total * n
     }
 
     /// Total cycles stepped.
@@ -583,17 +625,30 @@ const RETIRE_BLOCK: usize = 8;
 /// [`retire_canonical`] for a compile-time tap count `R`: the tap loop
 /// runs over fixed-size arrays, so it unrolls with no bounds checks.
 ///
-/// One and two taps vectorise as written. From three taps on, the `cols ×
-/// R` stream interleaves too widely for that, so each block of
-/// [`RETIRE_BLOCK`] columns first multiplies its contiguous `x[j]·w[j]`
-/// run (input and weight words share the index `j`), then folds the
-/// products tap by tap into one accumulator per column, starting from
-/// `0.0`. Every program still performs exactly the execute µ-engine's
-/// operations in its order — Rust never contracts `a * b + c` — so the
-/// results are bit-identical; the columns past the last whole block take
-/// the per-column loop.
+/// A one-column dispatch (a tconv's edge column) walks the channels in one
+/// flat loop, so the loop runs across channels rather than paying a
+/// per-channel loop setup for a single column. Otherwise one and two taps
+/// vectorise as written. From three taps on, the `cols × R` stream
+/// interleaves too widely for that, so each block of [`RETIRE_BLOCK`]
+/// columns first multiplies its contiguous `x[j]·w[j]` run (input and
+/// weight words share the index `j`), then folds the products tap by tap
+/// into one accumulator per column, starting from `0.0`. Every program
+/// still performs exactly the execute µ-engine's operations in its order —
+/// Rust never contracts `a * b + c` — so the results are bit-identical; the
+/// columns past the last whole block take the per-column loop.
 fn canonical_kernel<const R: usize>(input: &[f32], weights: &[f32], out: &mut [f32]) {
     let cols = input.len() / R;
+    if let ([x], _) = input.as_chunks::<R>() {
+        let (taps, _) = weights.as_chunks::<R>();
+        for (slot, w) in out.iter_mut().zip(taps) {
+            let mut acc = 0.0f32;
+            for t in 0..R {
+                acc += x[t] * w[t];
+            }
+            *slot = acc;
+        }
+        return;
+    }
     for (channel, slots) in weights
         .chunks_exact(input.len())
         .zip(out.chunks_exact_mut(cols))
@@ -918,6 +973,128 @@ mod tests {
         pe.set_repeat(p.repeat);
         pe.push_uop(ExecUop::Repeat);
         pe.push_uop(ExecUop::Mac);
+    }
+
+    /// Arms one dispatch the way the engine's `dispatch_group` issues it: a
+    /// `cols × taps` input stream at `offset`, replayed once per channel of
+    /// `group`, the channels' weight streams back to back, and a contiguous
+    /// `group × cols` output run. The caller pushes the µops.
+    fn arm_dispatch(pe: &mut ProcessingEngine, taps: u16, cols: u16, group: u16, offset: u16) {
+        let stream = cols * taps;
+        pe.configure_generator(
+            AddrGenKind::Input,
+            GeneratorConfig {
+                addr: 0,
+                offset,
+                step: 1,
+                end: stream,
+                repeat: group,
+            },
+        );
+        pe.configure_linear(AddrGenKind::Weight, 0, 1, group * stream, 1);
+        pe.configure_linear(AddrGenKind::Output, 0, 1, group * cols, 1);
+        pe.start_all();
+        pe.set_repeat(taps);
+    }
+
+    /// Operand bit patterns the kernels must treat exactly as the execute
+    /// µ-engine does.
+    const SPECIAL: [u32; 12] = [
+        0x0000_0000, // +0.0
+        0x8000_0000, // -0.0
+        0x7fc0_0000, // quiet NaN
+        0xffc0_0001, // negative NaN with a payload
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+        0x0000_0001, // smallest subnormal
+        0x807f_ffff, // largest negative subnormal
+        0x0080_0000, // smallest normal
+        0x7f7f_ffff, // largest finite
+        0x3f80_0000, // 1.0
+        0xbf80_0000, // -1.0
+    ];
+
+    /// An operand from a `0..1 << 36` draw: half the draws pick a
+    /// [`SPECIAL`] value, half an arbitrary word (which overflows to ±∞ and
+    /// cancels to NaN often).
+    fn operand(pick: u64) -> f32 {
+        let bits = pick as u32;
+        if pick >> 35 == 1 {
+            f32::from_bits(SPECIAL[bits as usize % SPECIAL.len()])
+        } else {
+            f32::from_bits(bits)
+        }
+    }
+
+    /// Bit-identical results, except that a NaN only has to meet a NaN: Rust
+    /// leaves the sign and payload of a NaN result unspecified (LLVM may
+    /// commute an add of two NaNs).
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// `pe` split into its scratchpad words, as bits with every NaN one
+    /// quiet NaN, and the rest of its state with those words zeroed, so
+    /// states that hold NaNs compare with `==` (an f32 NaN never equals
+    /// itself).
+    fn nan_canonical(pe: &ProcessingEngine) -> (ProcessingEngine, Vec<u32>) {
+        let mut pe = pe.clone();
+        let mut bits = Vec::new();
+        for pad in [&mut pe.input, &mut pe.weights, &mut pe.output] {
+            for word in pad.contents_mut() {
+                bits.push(if word.is_nan() {
+                    0x7fc0_0000
+                } else {
+                    word.to_bits()
+                });
+                *word = 0.0;
+            }
+        }
+        (pe, bits)
+    }
+
+    /// A block whose last row's input window would pass the input
+    /// scratchpad, or the `u16` address space the generators' offset
+    /// register spans, is refused without touching the PE (as is an empty
+    /// block); the largest block that fits retires.
+    #[test]
+    fn retire_block_refuses_windows_past_the_scratchpad_or_u16() {
+        let (taps, cols, group) = (3u16, 2u16, 2u16);
+        // (input words, stride, rows, retires): stream 6 from base 0, so the
+        // last window ends at `(rows - 1) × stride + 6`.
+        let cases = [
+            (64, 6, 11, false),
+            (64, 6, 10, true),
+            (70_000, 65_531, 2, false),
+            (70_000, 65_530, 2, true),
+            (64, 6, 0, false),
+        ];
+        for (input_words, stride, rows, retires) in cases {
+            let mut pe = ProcessingEngine::new(PeConfig {
+                input_words,
+                ..PeConfig::roomy()
+            });
+            pe.load_input(&vec![1.5; input_words]);
+            pe.load_weights(&[0.5; 12]);
+            arm_dispatch(&mut pe, taps, cols, group, 0);
+            pe.try_push_mac_pairs(usize::from(cols * group)).unwrap();
+            let armed = pe.clone();
+            let mut sunk = 0;
+            let retired = pe.retire_block(rows, stride, |_, run| {
+                assert_eq!(run, [2.25; 4]);
+                sunk += 1;
+            });
+            let case = format!("{input_words} words, stride {stride}, {rows} rows");
+            assert_eq!(retired, retires, "{case}");
+            if retires {
+                assert_eq!(sunk, rows, "{case}");
+                assert!(pe.is_idle(), "{case}");
+                assert_eq!(pe.busy_cycles(), rows as u64 * 12, "{case}");
+            } else {
+                assert_eq!(sunk, 0, "{case}");
+                assert_eq!(pe, armed, "{case}: a refused block moved state");
+            }
+        }
     }
 
     /// Runs the same programs on a single-stepped and a burst-stepped PE and
@@ -1245,13 +1422,7 @@ mod tests {
             let mut fast = reference.clone();
             for input_slot in [slot, 0] {
                 for pe in [&mut reference, &mut fast] {
-                    pe.configure_generator(AddrGenKind::Input, GeneratorConfig {
-                        addr: 0, offset: input_slot * stream, step: 1, end: stream, repeat: group,
-                    });
-                    pe.configure_linear(AddrGenKind::Weight, 0, 1, group * stream, 1);
-                    pe.configure_linear(AddrGenKind::Output, 0, 1, group * cols, 1);
-                    pe.start_all();
-                    pe.set_repeat(taps);
+                    arm_dispatch(pe, taps, cols, group, input_slot * stream);
                 }
                 for _ in 0..cols * group {
                     reference.push_uop(ExecUop::Repeat);
@@ -1284,29 +1455,6 @@ mod tests {
             input_picks in proptest::collection::vec(0u64..1 << 36, 128),
             weight_picks in proptest::collection::vec(0u64..1 << 36, 512),
         ) {
-            const SPECIAL: [u32; 12] = [
-                0x0000_0000, // +0.0
-                0x8000_0000, // -0.0
-                0x7fc0_0000, // quiet NaN
-                0xffc0_0001, // negative NaN with a payload
-                0x7f80_0000, // +inf
-                0xff80_0000, // -inf
-                0x0000_0001, // smallest subnormal
-                0x807f_ffff, // largest negative subnormal
-                0x0080_0000, // smallest normal
-                0x7f7f_ffff, // largest finite
-                0x3f80_0000, // 1.0
-                0xbf80_0000, // -1.0
-            ];
-            // Half the draws pick a special value, half an arbitrary word.
-            let operand = |pick: u64| {
-                let bits = pick as u32;
-                if pick >> 35 == 1 {
-                    f32::from_bits(SPECIAL[bits as usize % SPECIAL.len()])
-                } else {
-                    f32::from_bits(bits)
-                }
-            };
             let stream = cols * taps;
             let input: Vec<f32> = input_picks[..stream].iter().map(|&p| operand(p)).collect();
             let weights: Vec<f32> =
@@ -1319,17 +1467,82 @@ mod tests {
                     for t in 0..taps {
                         acc += input[c * taps + t] * weights[(k * cols + c) * taps + t];
                     }
-                    // Rust leaves the sign and payload of a NaN result
-                    // unspecified (LLVM may commute an add of two NaNs), so
-                    // a NaN only has to meet a NaN.
                     let got = out[k * cols + c];
                     prop_assert!(
-                        got.to_bits() == acc.to_bits() || (got.is_nan() && acc.is_nan()),
+                        same_bits(got, acc),
                         "taps {} cols {} channel {} column {}: {:#x} != {:#x}",
                         taps, cols, k, c, got.to_bits(), acc.to_bits()
                     );
                 }
             }
+        }
+
+        /// One `retire_block` call equals its rows issued one by one: `rows`
+        /// dispatches armed from scratch, each with the input offset
+        /// `stride` words further and retired by its own `step_burst`, leave
+        /// the same PE state (full `PartialEq`, NaNs canonical) and produce
+        /// the same per-row output runs (bit for bit, any NaN meeting any
+        /// NaN). Taps cover the specialised kernels and two past them,
+        /// columns fall on and off the `RETIRE_BLOCK` grid, rows may sit
+        /// apart by more than a stream, and operands include ±0.0, NaNs, ±∞
+        /// and subnormals.
+        #[test]
+        fn prop_retire_block_equals_single_dispatches(
+            taps in 1u16..6,
+            cols in 1u16..25,
+            group in 1u16..5,
+            rows in 1usize..7,
+            slot in 0u16..3,
+            gap in 0u16..3,
+            fifo_entries in 2usize..9,
+            input_picks in proptest::collection::vec(0u64..1 << 36, 1024),
+            weight_picks in proptest::collection::vec(0u64..1 << 36, 512),
+        ) {
+            let stream = cols * taps;
+            let stride = stream + gap;
+            let pairs = cols * group;
+            let cycles = u64::from(taps * pairs);
+            let config = PeConfig {
+                input_words: 1024,
+                weight_words: 512,
+                output_words: 128,
+                addr_fifo_entries: fifo_entries,
+                uop_fifo_entries: 256,
+            };
+            let mut reference = ProcessingEngine::new(config);
+            reference.load_input(&input_picks.iter().map(|&p| operand(p)).collect::<Vec<_>>());
+            reference.load_weights(&weight_picks.iter().map(|&p| operand(p)).collect::<Vec<_>>());
+            let mut block = reference.clone();
+
+            let mut expected = Vec::new();
+            for row in 0..rows as u16 {
+                arm_dispatch(&mut reference, taps, cols, group, slot * stream + row * stride);
+                reference.try_push_mac_pairs(usize::from(pairs)).unwrap();
+                prop_assert_eq!(reference.step_burst(cycles), cycles);
+                prop_assert!(reference.is_idle(), "one step_burst did not drain row {}", row);
+                expected.extend_from_slice(&reference.output_contents()[..usize::from(pairs)]);
+            }
+
+            arm_dispatch(&mut block, taps, cols, group, slot * stream);
+            block.try_push_mac_pairs(usize::from(pairs)).unwrap();
+            let mut produced = Vec::new();
+            let mut next_row = 0;
+            let retired = block.retire_block(rows, usize::from(stride), |row, run| {
+                assert_eq!(row, next_row, "rows must reach the sink in order");
+                next_row += 1;
+                produced.extend_from_slice(run);
+            });
+            prop_assert!(retired, "the block was refused");
+            prop_assert_eq!(next_row, rows);
+            prop_assert_eq!(produced.len(), expected.len());
+            for (i, (&got, &want)) in produced.iter().zip(&expected).enumerate() {
+                prop_assert!(
+                    same_bits(got, want),
+                    "row {} word {}: {:#x} != {:#x}",
+                    i / usize::from(pairs), i % usize::from(pairs), got.to_bits(), want.to_bits()
+                );
+            }
+            prop_assert!(nan_canonical(&reference) == nan_canonical(&block), "PE state diverged");
         }
 
         /// Queues mixing materialized µops with virtual pairs — a lone `mac`
