@@ -292,7 +292,7 @@ pub struct GanaxConfig {
     /// ABFT computation-integrity policy ([`IntegrityMode`], default
     /// [`IntegrityMode::Off`]). When on, every retired output-row slice is
     /// checksum-verified against the plan's precomputed weight checksums;
-    /// `VerifyAndHeal` additionally re-executes mismatching shards in a
+    /// `VerifyAndHeal` additionally re-executes mismatching rows in a
     /// fresh fault epoch before surfacing a violation.
     pub integrity: IntegrityMode,
 }

@@ -79,7 +79,7 @@ use ganax_tensor::Tensor;
 
 use crate::config::IntegrityMode;
 use crate::machine::{
-    accumulate_input_checksum, add_slots, dispatch_group, dispatch_ordinal_base, gather_streams,
+    add_slots, dispatch_group, dispatch_ordinal_base, fold_input_checksums, gather_streams,
     load_dispatch_weights, row_checksum_ok, shard_for_position, Dispatch, GanaxMachine, LayerPlan,
     MachineError, MachineRun, PlannedLayer, RowChecksum, ShardFaults, MAX_HEAL_ROUNDS,
 };
@@ -441,8 +441,15 @@ fn worker_loop(shared: Arc<PoolShared>) {
 /// excluded from the counts, as the reference excludes its own per-unit
 /// loads. The output scratchpad is not cleared between dispatches: every
 /// program overwrites its output word before it is read back. Fault sites
-/// and checksum folds stay keyed by chunk (see [`load_dispatch_weights`],
-/// [`emit_faulty`] and [`accumulate_input_checksum`]).
+/// stay keyed by chunk (see [`load_dispatch_weights`] and [`emit_faulty`]).
+///
+/// Under `task.verify`, each `(ky, ci)` first folds the clean input streams
+/// of every row instance reading the tap into their checksums in one pass
+/// ([`fold_input_checksums`]: chunk → column → tap outside, rows inside, so
+/// each weight-checksum pair is loaded once per lane of rows), and the
+/// shard ends with one observed-side fold per row. Every row's checksum
+/// triple, like its outputs, depends on the row alone, not on which other
+/// rows share the shard.
 ///
 /// [`column_words`]: crate::machine::LayerPlan::column_words
 fn run_resident_shard(
@@ -503,6 +510,8 @@ fn run_resident_shard(
     // `(element, row slot, input row)` instances whose row reads vertical tap
     // `ky` — rebuilt per tap, reusing the allocation.
     let mut instances: Vec<(usize, usize, usize)> = Vec::new();
+    // `(checksum index, input row)` of each instance at the current `ci`.
+    let mut folds: Vec<(usize, &[f32])> = Vec::new();
     // Per chunk of the current dispatch, its dispatch ordinal base (filled
     // only when some site family can fire).
     let mut ordinals: Vec<u64> = Vec::new();
@@ -524,20 +533,14 @@ fn run_resident_shard(
             if task.verify {
                 // The predicted side folds each chunk's *clean* stream in
                 // chunk order, independent of how chunks bundle into
-                // dispatches.
-                for &(e, slot, iy) in &instances {
-                    let input_row = task.inputs[e].row_2d(ci, iy);
-                    for chunk_idx in 0..plan.chunks.len() {
-                        accumulate_input_checksum(
-                            plan,
-                            chunk_idx,
-                            ky,
-                            ci,
-                            input_row,
-                            &mut checks[e * rows.len() + slot],
-                        );
-                    }
-                }
+                // dispatches, for every instance of the tap in one pass.
+                folds.clear();
+                folds.extend(
+                    instances.iter().map(|&(e, slot, iy)| {
+                        (e * rows.len() + slot, task.inputs[e].row_2d(ci, iy))
+                    }),
+                );
+                fold_input_checksums(plan, ky, ci, &folds, &mut checks);
             }
             for (d, dispatch) in plan.dispatches.iter().enumerate() {
                 let stream = dispatch.taps * dispatch.cols;
@@ -1377,19 +1380,32 @@ impl InferenceEngine {
     }
 
     /// Verifies every shard's ABFT row checksums and — under
-    /// [`IntegrityMode::VerifyAndHeal`] — surgically re-executes the flagged
-    /// shards in a fresh fault epoch, merging only the flagged row slices
-    /// (and their checksums) back into the originals. The clean rows, and
-    /// every activity counter, are untouched: healing repairs *data*, so a
-    /// healed layer reports the same busy cycles and event counts as the
-    /// corrupted run — which are themselves identical to a fault-free run at
-    /// every pool size. Verdicts come from [`row_checksum_ok`]'s
-    /// deterministic geometry-scaled tolerance over checksum triples folded
-    /// in a fixed order, so the same corruption is flagged (or passed)
-    /// identically at every pool size. A mismatch that survives
-    /// [`MAX_HEAL_ROUNDS`] healing rounds — or any mismatch under plain
-    /// [`IntegrityMode::Verify`] — is reported as the persistent, non-
-    /// transient [`MachineError::IntegrityViolation`].
+    /// [`IntegrityMode::VerifyAndHeal`] — surgically re-executes only the
+    /// flagged rows in a fresh fault epoch: one heal task per flagged shard,
+    /// owning the distinct output rows behind its flagged `(element, slot)`
+    /// indices, whose `(element, heal slot)` row slices (and checksums) are
+    /// merged back into the originals. The clean rows, and every activity
+    /// counter, are untouched: healing repairs *data*, so a healed layer
+    /// reports the same busy cycles and event counts as the corrupted run —
+    /// which are themselves identical to a fault-free run at every pool size.
+    ///
+    /// Re-executing a subset of a shard's rows heals exactly what re-running
+    /// the whole shard would: a row's arithmetic, its fault sites (keyed by
+    /// [`dispatch_ordinal_base`] and the row coordinate, as
+    /// [`shard_for_position`] argues) and its checksum triple are functions
+    /// of the row alone, and every site of a re-executed row was reached in
+    /// the failed epoch, so the fresh epoch fires for it exactly what it
+    /// fired in a whole-shard rerun. (A persistent schedule fires again on
+    /// every site a heal reaches, so [`InferenceEngine::injected_faults`]
+    /// counts only the sites the healed rows reach.)
+    ///
+    /// Verdicts come from [`row_checksum_ok`]'s deterministic
+    /// geometry-scaled tolerance over checksum triples folded in a fixed
+    /// order, so the same corruption is flagged (or passed) identically at
+    /// every pool size. A mismatch that survives [`MAX_HEAL_ROUNDS`] healing
+    /// rounds — or any mismatch under plain [`IntegrityMode::Verify`] — is
+    /// reported as the persistent, non-transient
+    /// [`MachineError::IntegrityViolation`].
     fn verify_and_heal(
         &self,
         layer: &Arc<Layer>,
@@ -1445,18 +1461,37 @@ impl InferenceEngine {
             // re-execution runs clean of it — while a persistent fault fires
             // again, fails verification again, and exhausts the round cap.
             self.injector.begin_epoch();
-            let ids: Vec<usize> = flagged.iter().map(|(shard_id, _)| *shard_id).collect();
-            let healed = self.dispatch_wave(layer, plan, layer_index, inputs, meta, &ids, true);
-            for ((shard_id, bad), reply) in flagged.iter().zip(healed) {
+            // One heal task per flagged shard: the distinct rows behind its
+            // flagged indices, ascending.
+            let heal_meta: Vec<Arc<Vec<usize>>> = flagged
+                .iter()
+                .map(|(shard_id, bad)| {
+                    let rows = &meta[*shard_id];
+                    let mut heal_rows: Vec<usize> =
+                        bad.iter().map(|i| rows[i % rows.len()]).collect();
+                    heal_rows.sort_unstable();
+                    heal_rows.dedup();
+                    Arc::new(heal_rows)
+                })
+                .collect();
+            let ids: Vec<usize> = (0..heal_meta.len()).collect();
+            let healed =
+                self.dispatch_wave(layer, plan, layer_index, inputs, &heal_meta, &ids, true);
+            for (((shard_id, bad), heal_rows), reply) in flagged.iter().zip(&heal_meta).zip(healed)
+            {
                 let fresh = reply.ok_or_else(|| MachineError::PoolUnavailable {
                     detail: "the worker pool shut down before reporting a healed shard".into(),
                 })??;
+                let rows = &meta[*shard_id];
                 let shard = &mut shards[*shard_id];
                 for &i in bad {
-                    let at = i * row_stride;
-                    shard.buffer[at..at + row_stride]
-                        .copy_from_slice(&fresh.buffer[at..at + row_stride]);
-                    shard.checks[i] = fresh.checks[i];
+                    // `(element, slot)` in the shard is `(element, heal slot)`
+                    // in the heal task.
+                    let (e, oy) = (i / rows.len(), rows[i % rows.len()]);
+                    let j = e * heal_rows.len() + heal_rows.partition_point(|&r| r < oy);
+                    shard.buffer[i * row_stride..][..row_stride]
+                        .copy_from_slice(&fresh.buffer[j * row_stride..][..row_stride]);
+                    shard.checks[i] = fresh.checks[j];
                 }
                 self.rows_healed
                     .fetch_add(bad.len() as u64, Ordering::Relaxed);
@@ -2054,6 +2089,49 @@ mod tests {
         assert!(lock_unpoisoned(&engine.shared.state).tasks.is_empty());
     }
 
+    /// Healing merges each flagged `(element, slot)` row from its
+    /// `(element, heal slot)` position in the heal task: a batch of three
+    /// whose targeted row is poisoned in every element heals bit-identically
+    /// to the clean batch, with the same verdicts and heal count at every
+    /// pool size.
+    #[test]
+    fn batch_heal_merges_every_flagged_element() {
+        let net = toy_network();
+        let weights = toy_weights(&net, 113);
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|k| Tensor::deterministic(net.input_shape(), 127 + k))
+            .collect();
+        let clean_engine = InferenceEngine::new(GanaxMachine::paper(), 2);
+        let clean_compiled = clean_engine.compile(&net, &weights).unwrap();
+        let clean = clean_engine
+            .execute_batch(&clean_compiled, &inputs)
+            .unwrap()
+            .outputs;
+        let spec = FaultSpec {
+            layer: 1,
+            row: 5,
+            ..FaultSpec::seeded(13, 1_000_000, FaultKind::NAN_POISON)
+        };
+        let machine = GanaxMachine::new(
+            crate::GanaxConfig::paper()
+                .with_fault(spec)
+                .unwrap()
+                .with_integrity(IntegrityMode::VerifyAndHeal)
+                .unwrap(),
+        );
+        for pool in [1, 2, 4] {
+            let engine = InferenceEngine::new(machine, pool);
+            let compiled = engine.compile(&net, &weights).unwrap();
+            let run = engine.execute_batch(&compiled, &inputs).unwrap();
+            assert_eq!(run.outputs, clean, "pool {pool}: healed outputs");
+            assert_eq!(
+                (engine.integrity_violations(), engine.rows_healed()),
+                (3, 3),
+                "pool {pool}: one poisoned row per element, each healed once"
+            );
+        }
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -2103,6 +2181,95 @@ mod tests {
                 prop_assert_eq!(run.total_counts(), reference.counts, "pool {} counts", pool);
                 prop_assert_eq!(run.total_busy_pe_cycles(), reference.busy_pe_cycles);
                 prop_assert_eq!(run.total_work_units(), reference.work_units);
+            }
+        }
+
+        /// A row's outputs and ABFT checksum triple are functions of the row
+        /// alone — the invariant row-only healing rests on. In one fault
+        /// epoch with input, weight, poison and stuck-lane faults armed, a
+        /// shard of a random subset of a tconv layer's rows reproduces each
+        /// of its rows' buffer slices (bit for bit, any NaN matching any NaN)
+        /// and checksums from a shard of every row, for every batch element.
+        #[test]
+        fn prop_row_subsets_reproduce_their_full_shard_rows(
+            kernel in 3usize..6,
+            stride in 1usize..4,
+            width in 3usize..12,
+            height in 2usize..6,
+            in_channels in 1usize..3,
+            out_channels in 1usize..4,
+            mask in 1u64..1 << 16,
+            seed in 0u64..1_000,
+        ) {
+            let params = ConvParams::transposed_2d(kernel, stride, kernel / 2);
+            let input = Shape::new_2d(in_channels, height, width);
+            let built = NetworkBuilder::new("prop-subset", input)
+                .tconv("up", out_channels, params, Activation::None)
+                .build();
+            prop_assume!(built.is_ok());
+            let net = built.unwrap();
+            let layer = Arc::new(net.layers()[0].clone());
+            let weights = toy_weights(&net, seed);
+            let planned =
+                Arc::new(GanaxMachine::paper().plan_layer(&layer, weights.weight(0)).unwrap());
+            let rows: Vec<usize> = (0..layer.output.height).collect();
+            let subset: Vec<usize> =
+                rows.iter().copied().filter(|oy| mask >> (oy % 16) & 1 == 1).collect();
+            prop_assume!(!subset.is_empty());
+            let kinds = FaultKind::INPUT_FLIP
+                | FaultKind::WEIGHT_FLIP
+                | FaultKind::NAN_POISON
+                | FaultKind::STUCK_LANE;
+            let injector =
+                Arc::new(FaultInjector::new(FaultSpec::seeded(seed + 1, 100_000, kinds)));
+            injector.begin_epoch();
+            let inputs: Arc<Vec<Arc<Tensor>>> = Arc::new(
+                (0..2)
+                    .map(|k| Arc::new(Tensor::deterministic(layer.input, seed + 5 + k)))
+                    .collect(),
+            );
+            let run = |rows: &[usize]| {
+                let (reply, _replies) = channel();
+                let task = ShardTask {
+                    task_id: 0,
+                    wave: 0,
+                    layer: Arc::clone(&layer),
+                    plan: Arc::clone(&planned),
+                    layer_index: 0,
+                    injector: Arc::clone(&injector),
+                    inputs: Arc::clone(&inputs),
+                    rows: Arc::new(rows.to_vec()),
+                    verify: true,
+                    reply,
+                };
+                let mut pe = ProcessingEngine::new(planned.pe_config);
+                let mut buffer = Vec::new();
+                let (_, _, _, checks) =
+                    run_resident_shard(&task, &mut pe, &mut buffer).unwrap();
+                (buffer, checks)
+            };
+            let (full, full_checks) = run(&rows);
+            let (part, part_checks) = run(&subset);
+            let bits = |v: f32| if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() };
+            let check_bits = |c: &RowChecksum| {
+                [c.predicted, c.magnitude, c.observed]
+                    .map(|v| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() })
+            };
+            let row_words = layer.output.channels * layer.output.width;
+            let row_bits = |buffer: &[f32], k: usize| -> Vec<u32> {
+                buffer[k * row_words..][..row_words].iter().map(|&v| bits(v)).collect()
+            };
+            for e in 0..inputs.len() {
+                for (slot, &oy) in subset.iter().enumerate() {
+                    let (i, j) = (e * rows.len() + oy, e * subset.len() + slot);
+                    let (want, got) = (row_bits(&full, i), row_bits(&part, j));
+                    prop_assert_eq!(got, want, "element {} row {} outputs", e, oy);
+                    prop_assert_eq!(
+                        check_bits(&part_checks[j]),
+                        check_bits(&full_checks[i]),
+                        "element {} row {} checksum", e, oy
+                    );
+                }
             }
         }
     }

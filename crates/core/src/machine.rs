@@ -124,7 +124,7 @@ impl MachineError {
     /// pool unavailability are transient (the serving layer retries them);
     /// configuration, support and shape errors are permanent. An
     /// [`MachineError::IntegrityViolation`] is also permanent: it only
-    /// surfaces after verification already re-executed the offending shards
+    /// surfaces after verification already re-executed the offending rows
     /// in fresh fault epochs (or fail-fast verification was requested), so
     /// the corruption is persistent and the serve retry loop must not spin
     /// on it before the circuit breaker opens.
@@ -638,42 +638,78 @@ pub(crate) fn row_checksum_ok(plan: &LayerPlan, oy: usize, check: &RowChecksum) 
     residual <= row_tolerance(plan, oy, check.magnitude)
 }
 
-/// Folds one chunk's *clean* operand stream — read straight from the input
-/// row, so no scheduled corruption can reach it — into a row's checksum
-/// accumulators: the predicted output checksum gains
-/// `Σ checksum(W)[el] · x[el]`, the magnitude bound gains
-/// `Σ |W|-checksum[el] · |x[el]|`, element by element in stream order; each
-/// column's elements index the plan's per-`kx'` sums from the column's
-/// weight start. The shard runner folds chunks in `ky → ci → chunk` order,
-/// whatever order it dispatches in, so the triple is the same at every pool
-/// size.
-pub(crate) fn accumulate_input_checksum(
+/// Rows [`fold_input_checksums`] folds side by side.
+const CHECKSUM_LANE: usize = 4;
+
+/// Folds tap `(ky, ci)`'s *clean* operand streams — read straight from the
+/// input rows, so no scheduled corruption can reach them — into the checksum
+/// accumulators of every row that reads the tap: for each `(index,
+/// input_row)` in `rows`, `checks[index]`'s predicted output checksum gains
+/// `Σ checksum(W)[el] · x[el]` and its magnitude bound gains
+/// `Σ |W|-checksum[el] · |x[el]|`, element by element in chunk → column →
+/// tap order; each column's elements index the plan's per-`kx'` sums from
+/// the column's weight start.
+///
+/// Rows are folded [`CHECKSUM_LANE`] at a time with the chunk → column → tap
+/// walk outside the rows, so each `(checksum(W), |W|-checksum)` pair is
+/// loaded once per lane and the lane's independent add chains overlap. Each
+/// row still sees exactly the f64 operations, in the order, of folding it
+/// alone; with the shard runner folding taps in `ky → ci` order, whatever
+/// order it dispatches in, every triple is the same at every pool size.
+pub(crate) fn fold_input_checksums(
     plan: &LayerPlan,
-    chunk_idx: usize,
     ky: usize,
     ci: usize,
-    input_row: &[f32],
-    check: &mut RowChecksum,
+    rows: &[(usize, &[f32])],
+    checks: &mut [RowChecksum],
 ) {
-    let chunk = &plan.chunks[chunk_idx];
-    let dispatch = &plan.dispatches[chunk.dispatch];
-    let columns = chunk.dispatch_col..chunk.dispatch_col + chunk.cols;
     let base = (ky * plan.input_channels + ci) * plan.kernel_w;
     let csum = &plan.column_sums[base..base + plan.kernel_w];
     let abs = &plan.abs_column_sums[base..base + plan.kernel_w];
-    let starts = dispatch.input_starts[columns.clone()]
-        .iter()
-        .zip(&dispatch.weight_starts[columns]);
-    for (&start, &w0) in starts {
-        let clean = &input_row[start..start + chunk.taps];
-        let sums = csum[w0..w0 + chunk.taps]
+    let (lanes, rest) = rows.as_chunks::<CHECKSUM_LANE>();
+    for lane in lanes {
+        fold_checksum_lane(plan, csum, abs, lane, checks);
+    }
+    for row in rest {
+        fold_checksum_lane(plan, csum, abs, std::array::from_ref(row), checks);
+    }
+}
+
+/// One lane of [`fold_input_checksums`]: `N` rows' accumulators held in
+/// registers across the whole chunk → column → tap walk.
+#[inline(always)]
+fn fold_checksum_lane<const N: usize>(
+    plan: &LayerPlan,
+    csum: &[f64],
+    abs: &[f64],
+    lane: &[(usize, &[f32]); N],
+    checks: &mut [RowChecksum],
+) {
+    let mut predicted = lane.map(|(i, _)| checks[i].predicted);
+    let mut magnitude = lane.map(|(i, _)| checks[i].magnitude);
+    for chunk in &plan.chunks {
+        let dispatch = &plan.dispatches[chunk.dispatch];
+        let columns = chunk.dispatch_col..chunk.dispatch_col + chunk.cols;
+        let starts = dispatch.input_starts[columns.clone()]
             .iter()
-            .zip(&abs[w0..w0 + chunk.taps]);
-        for (&x, (&w, &w_abs)) in clean.iter().zip(sums) {
-            let x = f64::from(x);
-            check.predicted += w * x;
-            check.magnitude += w_abs * x.abs();
+            .zip(&dispatch.weight_starts[columns]);
+        for (&start, &w0) in starts {
+            let clean = lane.map(|(_, row)| &row[start..start + chunk.taps]);
+            let sums = csum[w0..w0 + chunk.taps]
+                .iter()
+                .zip(&abs[w0..w0 + chunk.taps]);
+            for (t, (&w, &w_abs)) in sums.enumerate() {
+                for r in 0..N {
+                    let x = f64::from(clean[r][t]);
+                    predicted[r] += w * x;
+                    magnitude[r] += w_abs * x.abs();
+                }
+            }
         }
+    }
+    for (r, &(i, _)) in lane.iter().enumerate() {
+        checks[i].predicted = predicted[r];
+        checks[i].magnitude = magnitude[r];
     }
 }
 
@@ -1934,6 +1970,85 @@ mod tests {
             let (_, weights) = layer_tensors(&layer, seed);
             let planned = GanaxMachine::new(config).plan_layer(&layer, &weights).unwrap();
             check_staged_weights(&layer, &weights, &planned);
+        }
+    }
+
+    /// f32 operands that stress an f64 fold: signed zeros, subnormals,
+    /// values near `f32::MAX` and ordinary magnitudes of both signs.
+    const FOLD_OPERANDS: [f32; 9] = [
+        0.0,
+        -0.0,
+        1.0e-40,
+        -3.0e-42,
+        f32::MAX,
+        -0.75 * f32::MAX,
+        1.5,
+        -0.3,
+        7.25e3,
+    ];
+
+    /// The multi-row checksum fold gives every row exactly the predicted and
+    /// magnitude bits of folding the rows one at a time, element by element
+    /// in chunk → column → tap order, for instance counts on and off the
+    /// fold's lane width.
+    #[test]
+    fn multi_row_checksum_fold_matches_one_row_at_a_time() {
+        let layer = Layer::conv(
+            "fold",
+            Shape::new_2d(2, 3, 7),
+            2,
+            ConvParams::transposed_2d(4, 2, 1),
+            Activation::None,
+        )
+        .unwrap();
+        let operand = |i: usize| FOLD_OPERANDS[i % FOLD_OPERANDS.len()];
+        let weights = Tensor::from_filter_fn(
+            crate::NetworkWeights::expected_shape(&layer),
+            |co, ci, _, ky, kx| operand(co * 7 + ci * 5 + ky * 3 + kx + 2),
+        );
+        let plan = GanaxMachine::paper()
+            .plan_layer(&layer, &weights)
+            .unwrap()
+            .plan;
+        assert!(plan.chunks.len() > 1, "the fold must walk several chunks");
+        let inputs: Vec<Vec<f32>> = (0..9)
+            .map(|r| (0..layer.input.width).map(|x| operand(r * 4 + x)).collect())
+            .collect();
+        for count in 1..=9 {
+            let mut folded = vec![RowChecksum::default(); count];
+            let mut expected = folded.clone();
+            for ky in 0..plan.kernel_h {
+                for ci in 0..plan.input_channels {
+                    // Scattered checksum indices and a per-tap choice of rows.
+                    let rows: Vec<(usize, &[f32])> = (0..count)
+                        .map(|k| (count - 1 - k, &inputs[(k + ky + ci) % 9][..]))
+                        .collect();
+                    fold_input_checksums(&plan, ky, ci, &rows, &mut folded);
+                    let base = (ky * plan.input_channels + ci) * plan.kernel_w;
+                    for &(i, row) in &rows {
+                        let check = &mut expected[i];
+                        for chunk in &plan.chunks {
+                            let dispatch = &plan.dispatches[chunk.dispatch];
+                            for col in chunk.dispatch_col..chunk.dispatch_col + chunk.cols {
+                                let start = dispatch.input_starts[col];
+                                let w0 = base + dispatch.weight_starts[col];
+                                for t in 0..chunk.taps {
+                                    let x = f64::from(row[start + t]);
+                                    check.predicted += plan.column_sums[w0 + t] * x;
+                                    check.magnitude += plan.abs_column_sums[w0 + t] * x.abs();
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            for (i, (got, want)) in folded.iter().zip(&expected).enumerate() {
+                assert_eq!(
+                    (got.predicted.to_bits(), got.magnitude.to_bits()),
+                    (want.predicted.to_bits(), want.magnitude.to_bits()),
+                    "{count} rows: row {i} folded {got:?}, one at a time {want:?}"
+                );
+            }
         }
     }
 

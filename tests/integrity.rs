@@ -8,7 +8,7 @@
 //!    on vs off (verification observes, never perturbs);
 //! 2. **detection + surgical healing** — a seeded finite bit flip (the
 //!    silent corruption PR 7's guards cannot see) is detected by the
-//!    checksum verdicts and healed by re-executing only the flagged shards,
+//!    checksum verdicts and healed by re-executing only the flagged rows,
 //!    with outputs bit-identical to the fault-free run at pool sizes 1/2/4;
 //! 3. **verdicts are pool-invariant** (proptest) — whatever a random flip
 //!    schedule does, pool sizes 1/2/4 agree: same result type, bit-identical
