@@ -16,10 +16,12 @@ fn bench_ablation(c: &mut Criterion) {
     let gen = zoo::dcgan().generator;
     let dense_cycles = GanaxModel::with_variant(config, AblationVariant::ConventionalDense)
         .run_network(&gen)
+        .unwrap()
         .total_cycles();
     for (name, variant) in variants {
         let cycles = GanaxModel::with_variant(config, variant)
             .run_network(&gen)
+            .unwrap()
             .total_cycles();
         println!(
             "  {:<24} {:>14} cycles  ({:4.2}x vs dense)",
@@ -37,6 +39,7 @@ fn bench_ablation(c: &mut Criterion) {
                 std::hint::black_box(
                     GanaxModel::with_variant(config, variant)
                         .run_network(&gen)
+                        .unwrap()
                         .total_cycles(),
                 )
             })
@@ -68,7 +71,10 @@ fn bench_array_sweep(c: &mut Criterion) {
         let eyeriss = EyerissModel::new(config.base)
             .run_network(&gen)
             .total_cycles();
-        let ganax = GanaxModel::new(config).run_network(&gen).total_cycles();
+        let ganax = GanaxModel::new(config)
+            .run_network(&gen)
+            .unwrap()
+            .total_cycles();
         println!(
             "  {:>2} PVs x {:>2} PEs: speedup {:4.2}x  ({} -> {} cycles)",
             pvs,
@@ -89,7 +95,12 @@ fn bench_array_sweep(c: &mut Criterion) {
         };
         group.bench_function(format!("{pvs}x{pes}"), |b| {
             b.iter(|| {
-                std::hint::black_box(GanaxModel::new(config).run_network(&gen).total_cycles())
+                std::hint::black_box(
+                    GanaxModel::new(config)
+                        .run_network(&gen)
+                        .unwrap()
+                        .total_cycles(),
+                )
             })
         });
     }

@@ -31,7 +31,14 @@ fn bench_fig11(c: &mut Criterion) {
         })
     });
     group.bench_function("ganax_utilization", |b| {
-        b.iter(|| std::hint::black_box(GanaxModel::paper().run_network(&gen).average_utilization()))
+        b.iter(|| {
+            std::hint::black_box(
+                GanaxModel::paper()
+                    .run_network(&gen)
+                    .unwrap()
+                    .average_utilization(),
+            )
+        })
     });
     group.finish();
 }

@@ -1,6 +1,7 @@
 //! Machine-focused benches: the PE's closed-form dispatch and row-block
-//! retires versus the same program single-stepped, plus the engine fast path
-//! versus the seed single-step serial path on one layer.
+//! retires versus the same program single-stepped, the engine fast path
+//! versus the seed single-step serial path on one layer, and the cost per
+//! site of an armed fault schedule's run-level scan.
 //!
 //! The wall-clock comparison that feeds `BENCH_machine.json` lives in the
 //! `bench_machine` binary (it needs a JSON emitter, not Criterion's report);
@@ -11,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ganax::GanaxMachine;
 use ganax_bench::{layer_tensors, machine_bench_layers};
 use ganax_isa::{AddrGenKind, ExecUop};
-use ganax_sim::{PeConfig, ProcessingEngine};
+use ganax_sim::{FaultInjector, FaultKind, FaultSpec, PeConfig, ProcessingEngine};
 
 fn bench_machine(c: &mut Criterion) {
     let mut group = c.benchmark_group("machine");
@@ -102,6 +103,24 @@ fn bench_machine(c: &mut Criterion) {
             }
             pe.run_until_idle(1_000);
             std::hint::black_box(pe.read_output(0))
+        })
+    });
+
+    // An armed 1 ppm `INPUT_FLIP | WEIGHT_FLIP` schedule deciding 2^16
+    // gathered input sites as one run: the time divided by 65 536 is the
+    // cost per site, the SplitMix64 hash floor.
+    let injector = FaultInjector::new(FaultSpec::seeded(
+        5,
+        1,
+        FaultKind::INPUT_FLIP | FaultKind::WEIGHT_FLIP,
+    ));
+    injector.begin_epoch();
+    let faults = injector.layer(2);
+    let mut sites = vec![1.0f32; 1 << 16];
+    group.bench_function("fault_scan_1ppm_65536x1", |b| {
+        b.iter(|| {
+            faults.corrupt_inputs(0, 7, &mut sites);
+            std::hint::black_box(sites[0])
         })
     });
 

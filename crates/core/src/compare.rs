@@ -53,15 +53,25 @@ impl ModelComparison {
     }
 
     /// Runs a GAN on both accelerators with an explicit configuration.
+    ///
+    /// # Panics
+    /// On a transposed convolution whose padding is not below its kernel on
+    /// some axis: it crops its output, which neither analytic model covers
+    /// (no zoo GAN has one).
     pub fn compare_with(gan: &GanModel, config: GanaxConfig) -> Self {
         let eyeriss = EyerissModel::new(config.base);
         let ganax = GanaxModel::new(config);
+        let ganax_run = |network| {
+            ganax
+                .run_network(network)
+                .unwrap_or_else(|e| panic!("`{}`: {e}", gan.name))
+        };
         ModelComparison {
             gan_name: gan.name.clone(),
             eyeriss_generator: eyeriss.run_network(&gan.generator),
-            ganax_generator: ganax.run_network(&gan.generator),
+            ganax_generator: ganax_run(&gan.generator),
             eyeriss_discriminator: eyeriss.run_network(&gan.discriminator),
-            ganax_discriminator: ganax.run_network(&gan.discriminator),
+            ganax_discriminator: ganax_run(&gan.discriminator),
         }
     }
 
@@ -208,9 +218,9 @@ impl SimulatedComparison {
     ) -> Result<Self, MachineError> {
         let execution = GanaxMachine::new(config).execute_network(network, input, weights)?;
         let ganax = GanaxModel::new(config);
-        let analytical = ganax.run_network(network);
+        let analytical = ganax.run_network(network)?;
         let eyeriss = EyerissModel::new(config.base).run_network(network);
-        let checks = ganax.cross_check(network, &execution);
+        let checks = ganax.cross_check(network, &execution)?;
         Ok(SimulatedComparison {
             network_name: network.name().to_string(),
             execution,

@@ -74,14 +74,16 @@ use std::time::{Duration, Instant};
 
 use ganax_energy::{EnergyBreakdown, EnergyModel, EventCounts};
 use ganax_models::{Layer, LayerOp, Network};
-use ganax_sim::{FaultInjector, FaultKind, ProcessingEngine, WorkerFault, STALL_MILLIS};
+use ganax_sim::{
+    FaultInjector, FaultKind, LayerFaults, ProcessingEngine, WorkerFault, STALL_MILLIS,
+};
 use ganax_tensor::Tensor;
 
 use crate::config::IntegrityMode;
 use crate::machine::{
     add_slots, dispatch_group, dispatch_ordinal_base, fold_input_checksums, gather_streams,
     load_dispatch_weights, row_checksum_ok, shard_for_position, Dispatch, GanaxMachine, LayerPlan,
-    MachineError, MachineRun, PlannedLayer, RowChecksum, ShardFaults, MAX_HEAL_ROUNDS,
+    MachineError, MachineRun, PlannedLayer, RowChecksum, MAX_HEAL_ROUNDS,
 };
 use crate::network::{
     finish_layer_output, host_projection, LayerExecution, NetworkExecution, NetworkWeights,
@@ -469,12 +471,10 @@ fn run_resident_shard(
     buffer.clear();
     buffer.resize(elements * rows.len() * row_stride, 0.0);
 
-    let faults = ShardFaults {
-        injector: &task.injector,
-        layer_index: task.layer_index,
-    };
-    // Settle once per shard which site families can fire in this layer; a
-    // family that cannot takes the clean path and asks no per-site question.
+    // Settle once per shard which site families can fire in this layer (a
+    // family that cannot takes the clean path and asks no per-site question)
+    // and fold each live kind's layer-level hash prefix.
+    let faults = task.injector.layer(task.layer_index);
     let input_faults = faults.may_fire(FaultKind::INPUT_SITES);
     let weight_faults = faults.may_fire(FaultKind::WEIGHT_SITES);
     let emit_faults = faults.may_fire(FaultKind::EMIT_SITES);
@@ -581,7 +581,7 @@ fn run_resident_shard(
                             for (&idx, &ordinal) in dispatch.chunks.iter().zip(&ordinals) {
                                 let chunk = &plan.chunks[idx];
                                 let at = chunk.dispatch_col * chunk.taps;
-                                faults.corrupt_input_stream(
+                                faults.corrupt_inputs(
                                     rows[slot],
                                     ordinal,
                                     &mut sub[at..at + chunk.taps * chunk.cols],
@@ -602,7 +602,7 @@ fn run_resident_shard(
                             co0,
                             ci,
                             ky,
-                            weight_faults.then_some((faults, ordinals.as_slice())),
+                            weight_faults.then_some((&faults, ordinals.as_slice())),
                         );
                         dispatch_group(pe, dispatch.taps, dispatch.cols, group, layer)?;
                         let retired = pe.retire_block(block.len(), stream, |b, produced| {
@@ -623,7 +623,7 @@ fn run_resident_shard(
                                     plan,
                                     dispatch,
                                     &ordinals,
-                                    faults,
+                                    &faults,
                                     rows[slot],
                                     co0 + k,
                                     out,
@@ -674,7 +674,7 @@ fn emit_faulty(
     plan: &LayerPlan,
     dispatch: &Dispatch,
     ordinals: &[u64],
-    faults: ShardFaults<'_>,
+    faults: &LayerFaults<'_>,
     row: usize,
     co: usize,
     out: &mut [f32],
@@ -2039,6 +2039,54 @@ mod tests {
                 "pool {pool}: output fingerprint"
             );
             assert_eq!(counts, pinned_counts, "pool {pool}: counts");
+            assert_eq!(engine.injected_faults(), fired, "pool {pool}: fired faults");
+        }
+    }
+
+    /// A schedule below 64 ppm — where the run-level scan's prefilter
+    /// rejects most batches before the exact test — keeps its exact fault
+    /// sites: the FNV-1a fingerprint of the output's f32 bits, how many
+    /// outputs the flips change and the fired-fault count per pool size are
+    /// pinned (taken from the per-site decision loop the scan replaced).
+    /// Weight sites fire once per weight load, so the count depends on the
+    /// pool size while the corruption does not.
+    #[test]
+    fn low_rate_flip_schedules_keep_their_fault_sites() {
+        let net = NetworkBuilder::new("low-rate", Shape::new_2d(32, 16, 16))
+            .tconv(
+                "up",
+                32,
+                ConvParams::transposed_2d(5, 2, 2),
+                Activation::None,
+            )
+            .build()
+            .unwrap();
+        let weights = toy_weights(&net, 113);
+        let input = Tensor::deterministic(net.input_shape(), 127);
+        let spec = FaultSpec::seeded(0x10_7A7E, 4, FaultKind::INPUT_FLIP | FaultKind::WEIGHT_FLIP);
+        let clean_engine = InferenceEngine::new(GanaxMachine::paper(), 1);
+        let clean_compiled = clean_engine.compile(&net, &weights).unwrap();
+        let (clean, clean_counts) = unguarded_chain(&clean_engine, &clean_compiled, &input);
+        for (pool, fired) in [(1, 6), (2, 9)] {
+            let engine = InferenceEngine::new(faulty_machine(spec), pool);
+            let compiled = engine.compile(&net, &weights).unwrap();
+            let (outputs, counts) = unguarded_chain(&engine, &compiled, &input);
+            let changed = outputs[0]
+                .data()
+                .iter()
+                .zip(clean[0].data())
+                .filter(|(a, b)| a.to_bits() != b.to_bits())
+                .count();
+            assert_eq!(changed, 142, "pool {pool}: outputs the flips change");
+            let mut hash = crate::config::FNV_OFFSET;
+            for value in outputs[0].data() {
+                crate::config::fnv1a64(&mut hash, &value.to_bits().to_le_bytes());
+            }
+            assert_eq!(
+                hash, 0xb883_bf9e_8d61_2d3a,
+                "pool {pool}: output fingerprint"
+            );
+            assert_eq!(counts, clean_counts, "pool {pool}: counts");
             assert_eq!(engine.injected_faults(), fired, "pool {pool}: fired faults");
         }
     }

@@ -50,9 +50,7 @@ use ganax_dataflow::{LayerGeometry, OutputRowGroups};
 use ganax_energy::EventCounts;
 use ganax_isa::{AddrGenKind, ExecUop};
 use ganax_models::{Layer, LayerOp};
-use ganax_sim::{
-    EmitFault, FaultInjector, GeneratorConfig, PeConfig, ProcessingEngine, WorkerFault,
-};
+use ganax_sim::{EmitFault, GeneratorConfig, LayerFaults, PeConfig, ProcessingEngine};
 use ganax_tensor::{ConvKind, ConvParams, Shape, Tensor, ZeroInsertion};
 
 use crate::config::{ConfigError, GanaxConfig, IntegrityMode};
@@ -722,59 +720,6 @@ pub(crate) struct PlannedLayer {
     pub(crate) plan: LayerPlan,
 }
 
-/// The fault coordinates one shard executes under: the injector realizing
-/// the machine config's schedule plus the network-level layer index. `Copy`
-/// (it carries a shared reference) so it passes freely by value through the
-/// engine's resident-PE shard runner and its weight/emit helpers.
-#[derive(Clone, Copy)]
-pub(crate) struct ShardFaults<'a> {
-    /// The injector deciding every fault site.
-    pub(crate) injector: &'a FaultInjector,
-    /// The network-level layer index (the `layer` fault coordinate).
-    pub(crate) layer_index: usize,
-}
-
-impl ShardFaults<'_> {
-    /// Whether any kind in `kinds` (one site family, such as
-    /// [`FaultKind::INPUT_SITES`](ganax_sim::FaultKind::INPUT_SITES)) can
-    /// fire in this layer. A family that cannot takes the clean path.
-    pub(crate) fn may_fire(&self, kinds: u32) -> bool {
-        self.injector.may_fire(kinds, self.layer_index)
-    }
-
-    /// Applies scheduled input-operand corruption to one gathered stream.
-    /// `ordinal` is the chunk's base dispatch ordinal (see
-    /// [`dispatch_ordinal_base`]); the stream is shared by every channel
-    /// group of the chunk, so the site excludes the channel coordinate.
-    pub(crate) fn corrupt_input_stream(&self, row: usize, ordinal: u64, buf: &mut [f32]) {
-        self.injector
-            .corrupt_inputs(self.layer_index, row, ordinal, buf);
-    }
-
-    /// Applies scheduled weight corruption to a staged weight slice whose
-    /// first word is element `first` of the `(ky, ci, chunk, group)` block
-    /// at `ordinal`. Weight sites carry no row coordinate — the same block
-    /// serves many rows — so every load corrupts identically.
-    fn corrupt_weights(&self, ordinal: u64, first: usize, buf: &mut [f32]) {
-        self.injector
-            .corrupt_weights(self.layer_index, ordinal, first, buf);
-    }
-
-    /// Decides whether the worker processing output row `row` is disturbed.
-    /// The engine's workers turn a panic decision into a real panic, so
-    /// supervision (respawn and requeue) is exercised.
-    pub(crate) fn worker_fault(&self, row: usize) -> Option<WorkerFault> {
-        self.injector.worker_fault(self.layer_index, row)
-    }
-
-    /// Decides whether the emitted contribution of output channel `lane` is
-    /// disturbed for the work unit at `ordinal`.
-    pub(crate) fn emit_fault(&self, row: usize, ordinal: u64, lane: usize) -> Option<EmitFault> {
-        self.injector
-            .emit_fault(self.layer_index, row, ordinal, lane)
-    }
-}
-
 /// The shard owning the output row at phase-major position `pos` in the
 /// engine's worker pool.
 ///
@@ -1071,20 +1016,7 @@ impl GanaxMachine {
                 detail: "the cycle-level machine covers 2-D layers".into(),
             });
         }
-        // Such a layer crops its output (its zero-insertion border
-        // `kernel - 1 - padding` would be negative), which the plan cannot
-        // express.
-        let (kernel, padding) = (params.kernel, params.padding);
-        if layer.is_tconv()
-            && (padding.0 >= kernel.0 || padding.1 >= kernel.1 || padding.2 >= kernel.2)
-        {
-            return Err(MachineError::Unsupported {
-                detail: format!(
-                    "transposed convolution with padding {padding:?} not below kernel \
-                     {kernel:?} on some axis (a cropped output)"
-                ),
-            });
-        }
+        refuse_cropping(&params)?;
         let expected_weights = Shape::filter(
             layer.output.channels,
             layer.input.channels,
@@ -1189,7 +1121,9 @@ pub(crate) fn add_slots(out: &mut [f32], produced: &[f32], fault: Option<EmitFau
 /// piece of chunk `x` is corrupted at `ordinals[i] + g0`, element
 /// `(co - g0) × piece + e`, where `g0` starts the channel group that chunk
 /// `x` alone would dispatch `co` in (a multiple of its `group_max`) — so
-/// bundling chunks into dispatches never moves a weight-fault site.
+/// bundling chunks into dispatches never moves a weight-fault site. The
+/// dispatch's channels that share a `g0` hold one contiguous range of that
+/// chunk's sites, decided as one run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn load_dispatch_weights(
     pe: &mut ProcessingEngine,
@@ -1199,7 +1133,7 @@ pub(crate) fn load_dispatch_weights(
     co0: usize,
     ci: usize,
     ky: usize,
-    faults: Option<(ShardFaults<'_>, &[u64])>,
+    faults: Option<(&LayerFaults<'_>, &[u64])>,
 ) -> u64 {
     let dispatch = &plan.dispatches[d];
     let stream = dispatch.taps * dispatch.cols;
@@ -1211,18 +1145,23 @@ pub(crate) fn load_dispatch_weights(
         let Some((faults, ordinals)) = faults else {
             return;
         };
-        for (k, channel) in buf.chunks_exact_mut(stream).enumerate() {
-            let co = co0 + k;
-            for (&idx, &ordinal) in dispatch.chunks.iter().zip(ordinals) {
-                let chunk = &plan.chunks[idx];
-                let piece = chunk.taps * chunk.cols;
+        for (&idx, &ordinal) in dispatch.chunks.iter().zip(ordinals) {
+            let chunk = &plan.chunks[idx];
+            let piece = chunk.taps * chunk.cols;
+            let at = chunk.dispatch_col * chunk.taps;
+            let mut co = co0;
+            while co < co0 + group {
                 let g0 = co - co % chunk.group_max;
-                let at = chunk.dispatch_col * chunk.taps;
+                let end = (g0 + chunk.group_max).min(co0 + group);
                 faults.corrupt_weights(
                     ordinal + g0 as u64,
                     (co - g0) * piece,
-                    &mut channel[at..at + piece],
+                    (end - co) * piece,
+                    piece,
+                    stream,
+                    &mut buf[(co - co0) * stream + at..],
                 );
+                co = end;
             }
         }
     });
@@ -1353,12 +1292,36 @@ impl Default for GanaxMachine {
     }
 }
 
+/// Why a planned layer's zero insertion exists: planning refuses the
+/// cropping geometries that have none ([`refuse_cropping`]).
+const VALIDATED: &str = "planning refuses transposed convolutions that crop";
+
+/// Refuses a transposed convolution whose padding is not below its kernel
+/// on some axis: it crops its output (its zero-insertion border,
+/// `kernel - 1 - padding`, would be negative), which neither the machine's
+/// plan nor the analytic model can express.
+///
+/// # Errors
+/// [`MachineError::Unsupported`] for such a layer.
+pub(crate) fn refuse_cropping(params: &ConvParams) -> Result<(), MachineError> {
+    match ZeroInsertion::from_params(params) {
+        Some(_) => Ok(()),
+        None => Err(MachineError::Unsupported {
+            detail: format!(
+                "transposed convolution with padding {:?} not below kernel {:?} on some axis \
+                 (a cropped output)",
+                params.padding, params.kernel
+            ),
+        }),
+    }
+}
+
 /// The original input row a (output row, vertical kernel tap) pair reads, or
 /// `None` if the tap falls on padding / an inserted zero row.
 fn input_row_for(oy: usize, ky: usize, params: &ConvParams, input_height: usize) -> Option<usize> {
     match params.kind {
         ConvKind::Transposed => {
-            let ins = ZeroInsertion::from_params(params);
+            let ins = ZeroInsertion::from_params(params).expect(VALIDATED);
             ins.source(1, oy + ky, input_height)
         }
         ConvKind::Conventional => conv_input_row(oy, ky, params, input_height),
@@ -1381,7 +1344,7 @@ fn conv_input_row(oy: usize, ky: usize, params: &ConvParams, input_height: usize
 fn column_run(ox: usize, params: &ConvParams, input_width: usize) -> Option<ColumnRun> {
     match params.kind {
         ConvKind::Transposed => {
-            let ins = ZeroInsertion::from_params(params);
+            let ins = ZeroInsertion::from_params(params).expect(VALIDATED);
             let step = params.stride.2;
             let mut first: Option<(usize, usize)> = None;
             let mut taps = 0usize;
@@ -1838,6 +1801,74 @@ mod tests {
             assert_eq!(run.counts, counts, "pool {pool}: counts");
             assert_eq!(run.busy_pe_cycles, 5940, "pool {pool}: busy cycles");
             assert_eq!(run.work_units, 165, "pool {pool}: work units");
+            assert_eq!(engine.injected_faults(), fired, "pool {pool}: fired faults");
+        }
+    }
+
+    /// A dispatch channel group that straddles a boundary between a bundled
+    /// chunk's own channel groups splits that chunk's weight run at the
+    /// boundary, so each side keeps its chunk's `(ordinal + g0, element)`
+    /// sites. The output fingerprint and fire counts are pinned from the
+    /// per-channel weight-fault loop the run replaced.
+    #[test]
+    fn straddling_channel_groups_keep_their_weight_fault_sites() {
+        use crate::InferenceEngine;
+        use ganax_models::NetworkBuilder;
+        use ganax_sim::{FaultKind, FaultSpec};
+
+        let pe = PeConfig {
+            input_words: 64,
+            weight_words: 64,
+            output_words: 16,
+            addr_fifo_entries: 8,
+            uop_fifo_entries: 32,
+        };
+        let spec = FaultSpec::seeded(0x57AD, 30_000, FaultKind::WEIGHT_FLIP);
+        let clean_config = GanaxConfig::paper().with_sim_pe(pe).unwrap();
+        let machine = GanaxMachine::new(clean_config.with_fault(spec).unwrap());
+        let network = NetworkBuilder::new("straddle", Shape::new_2d(2, 3, 6))
+            .tconv(
+                "up",
+                8,
+                ConvParams::transposed_2d(5, 2, 2),
+                Activation::None,
+            )
+            .build()
+            .unwrap();
+        let layer = &network.layers()[0];
+        let (input, weights) = layer_tensors(layer, 47);
+
+        let planned = machine.plan_layer(layer, &weights).unwrap();
+        let plan = &planned.plan;
+        let co_count = layer.output.channels;
+        assert!(
+            plan.dispatches
+                .iter()
+                .any(|d| (0..co_count).step_by(d.group_max).any(|co0| {
+                    let last = (co0 + d.group_max).min(co_count) - 1;
+                    d.chunks.iter().any(|&x| {
+                        let gm = plan.chunks[x].group_max;
+                        co0 / gm != last / gm
+                    })
+                })),
+            "some dispatch channel group must straddle a chunk's channel groups"
+        );
+
+        let clean = GanaxMachine::new(clean_config)
+            .execute_layer_threaded(layer, &input, &weights, 1)
+            .unwrap();
+        for (pool, fired) in [(1, 58), (2, 116), (5, 129)] {
+            let engine = InferenceEngine::new(machine, pool);
+            let run = engine.execute_layer(layer, &input, &weights).unwrap();
+            assert_eq!(run.counts, clean.counts, "pool {pool}: counts");
+            let mut hash = crate::config::FNV_OFFSET;
+            for value in run.output.data() {
+                crate::config::fnv1a64(&mut hash, &value.to_bits().to_le_bytes());
+            }
+            assert_eq!(
+                hash, 0xda4e_d82f_2fb2_eb26,
+                "pool {pool}: output fingerprint"
+            );
             assert_eq!(engine.injected_faults(), fired, "pool {pool}: fired faults");
         }
     }

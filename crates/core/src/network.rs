@@ -688,7 +688,7 @@ mod tests {
         let run = GanaxMachine::paper()
             .execute_network(&net, &input, &weights)
             .unwrap();
-        let checks = crate::GanaxModel::paper().cross_check(&net, &run);
+        let checks = crate::GanaxModel::paper().cross_check(&net, &run).unwrap();
         assert_eq!(checks.len(), net.layers().len());
         for check in &checks {
             assert!(

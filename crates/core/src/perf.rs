@@ -6,6 +6,7 @@ use ganax_models::{Layer, Network};
 
 use crate::compiler::GanaxCompiler;
 use crate::config::GanaxConfig;
+use crate::machine::{refuse_cropping, MachineError};
 use crate::network::NetworkExecution;
 
 /// Which subset of the GANAX mechanisms is enabled — used by the ablation
@@ -69,14 +70,15 @@ impl GanaxModel {
 
     /// Runs one layer and returns its statistics.
     ///
-    /// Transposed convolutions whose padding is not below the kernel on some
-    /// axis crop their output, and the model does not cover them: their
-    /// zero-insertion border would be negative, so a debug build panics and
-    /// a release build returns meaningless statistics. The cycle-level
-    /// machine refuses them with [`MachineError::Unsupported`].
-    ///
-    /// [`MachineError::Unsupported`]: crate::MachineError::Unsupported
-    pub fn run_layer(&self, layer: &Layer) -> LayerStats {
+    /// # Errors
+    /// [`MachineError::Unsupported`] for a transposed convolution whose
+    /// padding is not below its kernel on some axis: it crops its output,
+    /// which the model's zero-insertion geometry cannot express (the
+    /// cycle-level machine refuses it the same way).
+    pub fn run_layer(&self, layer: &Layer) -> Result<LayerStats, MachineError> {
+        if let Some(params) = layer.op.conv_params() {
+            refuse_cropping(&params)?;
+        }
         let geometry = LayerGeometry::for_layer(layer);
         let array = self.base().array;
 
@@ -153,7 +155,7 @@ impl GanaxModel {
         );
         let energy = self.base().energy.energy(&counts);
 
-        LayerStats {
+        Ok(LayerStats {
             name: layer.name.clone(),
             is_tconv: layer.is_tconv(),
             cycles: schedule.schedule_cycles,
@@ -162,16 +164,24 @@ impl GanaxModel {
             counts,
             energy,
             utilization: schedule.utilization(array),
-        }
+        })
     }
 
     /// Runs a whole network.
-    pub fn run_network(&self, network: &Network) -> NetworkStats {
-        NetworkStats {
+    ///
+    /// # Errors
+    /// Propagates [`GanaxModel::run_layer`]'s refusal of the first layer it
+    /// cannot model.
+    pub fn run_network(&self, network: &Network) -> Result<NetworkStats, MachineError> {
+        Ok(NetworkStats {
             network: network.name().to_string(),
             accelerator: "GANAX",
-            layers: network.layers().iter().map(|l| self.run_layer(l)).collect(),
-        }
+            layers: network
+                .layers()
+                .iter()
+                .map(|l| self.run_layer(l))
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     /// Cross-checks a cycle-level [`NetworkExecution`] against this analytic
@@ -185,6 +195,9 @@ impl GanaxModel {
     /// This is the contract that lets the analytic whole-GAN numbers stand on
     /// the machine's per-pass behaviour.
     ///
+    /// # Errors
+    /// Propagates [`GanaxModel::run_layer`]'s refusal of a layer.
+    ///
     /// # Panics
     /// Panics when `execution` does not report one layer per network layer —
     /// i.e. it was produced from a different network (a reduced variant, for
@@ -193,7 +206,7 @@ impl GanaxModel {
         &self,
         network: &Network,
         execution: &NetworkExecution,
-    ) -> Vec<LayerCrossCheck> {
+    ) -> Result<Vec<LayerCrossCheck>, MachineError> {
         assert_eq!(
             network.layers().len(),
             execution.layers.len(),
@@ -208,7 +221,7 @@ impl GanaxModel {
             .iter()
             .zip(&execution.layers)
             .map(|(layer, run)| {
-                let stats = self.run_layer(layer);
+                let stats = self.run_layer(layer)?;
                 let expected_machine_macs = match layer.op.conv_params() {
                     Some(p) => p
                         .in_bounds_macs(layer.input, layer.output.channels)
@@ -217,14 +230,14 @@ impl GanaxModel {
                     // of their MACs.
                     None => 0,
                 };
-                LayerCrossCheck {
+                Ok(LayerCrossCheck {
                     layer: layer.name.clone(),
                     host: run.host,
                     analytical_cycles: stats.cycles,
                     analytical_macs: stats.consequential_macs,
                     expected_machine_macs,
                     simulated_macs: run.counts.alu_ops,
-                }
+                })
             })
             .collect()
     }
@@ -267,12 +280,53 @@ impl Default for GanaxModel {
 mod tests {
     use super::*;
     use ganax_eyeriss::EyerissModel;
-    use ganax_models::zoo;
+    use ganax_models::{zoo, Activation, NetworkBuilder};
+    use ganax_tensor::{ConvParams, Shape};
+
+    /// A transposed convolution whose padding reaches its kernel crops its
+    /// output (tensor maps tconv k3 s2 p3 on 2×4×4 to 3×3). The model
+    /// refuses it with a typed error, where it used to underflow the
+    /// zero-insertion border: a panic in debug builds, wrapped statistics in
+    /// release builds.
+    #[test]
+    fn cropping_transposed_convolutions_are_refused() {
+        let net = NetworkBuilder::new("crop", Shape::new_2d(2, 4, 4))
+            .tconv(
+                "crop",
+                2,
+                ConvParams::transposed_2d(3, 2, 3),
+                Activation::None,
+            )
+            .build()
+            .unwrap();
+        let layer = &net.layers()[0];
+        assert_eq!(layer.output, Shape::new_2d(2, 3, 3));
+        let model = GanaxModel::paper();
+        let refused = |result: Result<(), MachineError>, what: &str| {
+            assert!(
+                matches!(result, Err(MachineError::Unsupported { .. })),
+                "{what}: {result:?}"
+            );
+        };
+        refused(model.run_layer(layer).map(drop), "run_layer");
+        refused(model.run_network(&net).map(drop), "run_network");
+        // One step less padding keeps a zero border and is modelled.
+        let edge = NetworkBuilder::new("edge", Shape::new_2d(2, 4, 4))
+            .tconv(
+                "edge",
+                2,
+                ConvParams::transposed_2d(3, 2, 2),
+                Activation::None,
+            )
+            .build()
+            .unwrap();
+        assert!(model.run_network(&edge).is_ok());
+    }
 
     #[test]
     fn ganax_never_performs_gated_ops_in_full_mode() {
         let model = GanaxModel::paper();
-        let stats = model.run_network(&zoo::dcgan().generator);
+        let stats = model.run_network(&zoo::dcgan().generator).unwrap();
         for layer in &stats.layers {
             assert_eq!(layer.counts.gated_ops, 0, "{}", layer.name);
         }
@@ -284,7 +338,7 @@ mod tests {
         let eyeriss = EyerissModel::paper();
         let gen = zoo::dcgan().generator;
         let speedup = eyeriss.run_network(&gen).total_cycles() as f64
-            / ganax.run_network(&gen).total_cycles() as f64;
+            / ganax.run_network(&gen).unwrap().total_cycles() as f64;
         assert!(speedup > 2.0, "speedup = {speedup}");
         assert!(speedup < 8.0, "speedup = {speedup}");
     }
@@ -294,7 +348,7 @@ mod tests {
         let ganax = GanaxModel::paper();
         let eyeriss = EyerissModel::paper();
         let disc = zoo::dcgan().discriminator;
-        let g = ganax.run_network(&disc).total_cycles();
+        let g = ganax.run_network(&disc).unwrap().total_cycles();
         let e = eyeriss.run_network(&disc).total_cycles();
         assert_eq!(g, e, "GANAX must not slow conventional convolutions down");
     }
@@ -303,7 +357,10 @@ mod tests {
     fn ganax_pe_utilization_is_high_on_generators() {
         let model = GanaxModel::paper();
         for gan in zoo::all_models() {
-            let util = model.run_network(&gan.generator).average_utilization();
+            let util = model
+                .run_network(&gan.generator)
+                .unwrap()
+                .average_utilization();
             assert!(util > 0.55, "{}: utilization = {util}", gan.name);
         }
     }
@@ -312,10 +369,10 @@ mod tests {
     fn mimd_layers_fetch_local_uops() {
         let model = GanaxModel::paper();
         let gen = zoo::dcgan().generator;
-        let stats = model.run_network(&gen);
+        let stats = model.run_network(&gen).unwrap();
         let tconv = stats.layers.iter().find(|l| l.is_tconv).unwrap();
         assert!(tconv.counts.local_uop_fetches > 0);
-        let disc_stats = model.run_network(&zoo::dcgan().discriminator);
+        let disc_stats = model.run_network(&zoo::dcgan().discriminator).unwrap();
         for layer in &disc_stats.layers {
             assert_eq!(layer.counts.local_uop_fetches, 0);
         }
@@ -327,12 +384,15 @@ mod tests {
         let gen = zoo::dcgan().generator;
         let full = GanaxModel::with_variant(config, AblationVariant::Full)
             .run_network(&gen)
+            .unwrap()
             .total_cycles();
         let simd_only = GanaxModel::with_variant(config, AblationVariant::ReorganizedSimdOnly)
             .run_network(&gen)
+            .unwrap()
             .total_cycles();
         let dense = GanaxModel::with_variant(config, AblationVariant::ConventionalDense)
             .run_network(&gen)
+            .unwrap()
             .total_cycles();
         assert!(full <= simd_only, "{full} > {simd_only}");
         assert!(simd_only <= dense, "{simd_only} > {dense}");
@@ -345,7 +405,7 @@ mod tests {
         let eyeriss = EyerissModel::paper();
         let gen = zoo::three_d_gan().generator;
         let reduction = eyeriss.run_network(&gen).total_energy().total_pj()
-            / ganax.run_network(&gen).total_energy().total_pj();
+            / ganax.run_network(&gen).unwrap().total_energy().total_pj();
         assert!(reduction > 2.0, "reduction = {reduction}");
     }
 }

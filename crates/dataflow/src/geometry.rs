@@ -77,6 +77,11 @@ pub struct LayerGeometry {
 
 impl LayerGeometry {
     /// Builds the geometry of a layer.
+    ///
+    /// # Panics
+    /// On a transposed convolution whose padding is not below its kernel on
+    /// some axis (it crops its output, which the phase analysis cannot
+    /// express); callers refuse such layers first.
     pub fn for_layer(layer: &Layer) -> Self {
         let (depth_phases, height_phases, width_phases, kernel) = match &layer.op {
             LayerOp::Projection => (None, None, None, (1, 1, 1)),

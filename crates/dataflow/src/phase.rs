@@ -48,7 +48,9 @@ impl AxisPhases {
     }
 
     fn from_axis(params: &ConvParams, axis: usize, input_extent: usize) -> Self {
-        let ins = ZeroInsertion::from_params(params);
+        let ins = ZeroInsertion::from_params(params).expect(
+            "a transposed convolution with padding ≥ kernel crops its output; refuse it first",
+        );
         let (kernel, step, border) = match axis {
             0 => (params.kernel.0, ins.inserted.0 + 1, ins.border.0),
             1 => (params.kernel.1, ins.inserted.1 + 1, ins.border.1),
@@ -77,16 +79,26 @@ impl AxisPhases {
     }
 
     /// Phase analysis of the depth axis.
+    ///
+    /// # Panics
+    /// On a transposed convolution whose padding is not below its kernel on
+    /// some axis (it crops its output; see `ZeroInsertion::from_params`).
     pub fn depth(params: &ConvParams, input_extent: usize) -> Self {
         Self::from_axis(params, 0, input_extent)
     }
 
     /// Phase analysis of the vertical (height) axis.
+    ///
+    /// # Panics
+    /// As [`AxisPhases::depth`].
     pub fn vertical(params: &ConvParams, input_extent: usize) -> Self {
         Self::from_axis(params, 1, input_extent)
     }
 
     /// Phase analysis of the horizontal (width) axis.
+    ///
+    /// # Panics
+    /// As [`AxisPhases::depth`].
     pub fn horizontal(params: &ConvParams, input_extent: usize) -> Self {
         Self::from_axis(params, 2, input_extent)
     }

@@ -55,7 +55,8 @@ mod scratchpad;
 pub use access::AccessEngine;
 pub use execute::{ActivationKind, ExecuteEngine};
 pub use fault::{
-    EmitFault, FaultInjector, FaultKind, FaultPlan, FaultSpec, WorkerFault, STALL_MILLIS,
+    EmitFault, FaultInjector, FaultKind, FaultPlan, FaultSpec, LayerFaults, WorkerFault,
+    STALL_MILLIS,
 };
 pub use fifo::{AddrFifo, FifoError, UopFifo};
 pub use index_gen::{GeneratorConfig, StridedIndexGenerator};

@@ -7,7 +7,7 @@
 //! "conventional convolution dataflow" path of the paper can be executed and
 //! measured directly.
 
-use crate::error::Result;
+use crate::error::{Result, TensorError};
 use crate::params::{ConvKind, ConvParams};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -28,26 +28,34 @@ impl ZeroInsertion {
     /// Derives the expansion performed by a transposed convolution's
     /// zero-insertion step. For a conventional convolution, the insertion count
     /// is zero and the border equals the convolution padding.
-    pub fn from_params(params: &ConvParams) -> Self {
+    ///
+    /// Returns `None` for a transposed convolution whose padding is not below
+    /// its kernel on some axis: it crops its output, and its border
+    /// `kernel - 1 - padding` would be negative, which an expansion cannot
+    /// express.
+    pub fn from_params(params: &ConvParams) -> Option<Self> {
         match params.kind {
-            ConvKind::Conventional => ZeroInsertion {
+            ConvKind::Conventional => Some(ZeroInsertion {
                 inserted: (0, 0, 0),
                 border: params.padding,
                 trailing: (0, 0, 0),
-            },
-            ConvKind::Transposed => ZeroInsertion {
-                inserted: (
-                    params.stride.0 - 1,
-                    params.stride.1 - 1,
-                    params.stride.2 - 1,
-                ),
-                border: (
-                    params.kernel.0 - 1 - params.padding.0,
-                    params.kernel.1 - 1 - params.padding.1,
-                    params.kernel.2 - 1 - params.padding.2,
-                ),
-                trailing: params.output_padding,
-            },
+            }),
+            ConvKind::Transposed => {
+                let (k, p) = (params.kernel, params.padding);
+                Some(ZeroInsertion {
+                    inserted: (
+                        params.stride.0 - 1,
+                        params.stride.1 - 1,
+                        params.stride.2 - 1,
+                    ),
+                    border: (
+                        (k.0 - 1).checked_sub(p.0)?,
+                        (k.1 - 1).checked_sub(p.1)?,
+                        (k.2 - 1).checked_sub(p.2)?,
+                    ),
+                    trailing: params.output_padding,
+                })
+            }
         }
     }
 
@@ -91,17 +99,18 @@ impl ZeroInsertion {
 }
 
 /// Extent of the zero-inserted input (including the border padding) along the
-/// three spatial axes, for the given transposed-convolution geometry.
+/// three spatial axes, for the given transposed-convolution geometry, or
+/// `None` when the geometry crops (see [`ZeroInsertion::from_params`]).
 ///
 /// For the paper's Figure 4 example (4×4 input, 5×5 kernel, upsampling 2,
 /// padding 2) the expanded extent is 11×11.
-pub fn zero_inserted_extent(params: &ConvParams, input: Shape) -> (usize, usize, usize) {
-    let ins = ZeroInsertion::from_params(params);
-    (
+pub fn zero_inserted_extent(params: &ConvParams, input: Shape) -> Option<(usize, usize, usize)> {
+    let ins = ZeroInsertion::from_params(params)?;
+    Some((
         ins.extent(0, input.depth),
         ins.extent(1, input.height),
         ins.extent(2, input.width),
-    )
+    ))
 }
 
 /// Materialises the zero-inserted (and border-padded) input of a transposed
@@ -112,11 +121,23 @@ pub fn zero_inserted_extent(params: &ConvParams, input: Shape) -> (usize, usize,
 /// [`crate::tconv_via_zero_insertion`]).
 ///
 /// # Errors
-/// Propagates shape errors from the underlying geometry.
+/// [`TensorError::ShapeMismatch`] for a transposed convolution whose padding
+/// is not below its kernel on some axis (it crops its output, which the
+/// expansion cannot express).
 pub fn zero_insert(input: &Tensor, params: &ConvParams) -> Result<Tensor> {
-    let ins = ZeroInsertion::from_params(params);
+    let ins = ZeroInsertion::from_params(params).ok_or_else(|| TensorError::ShapeMismatch {
+        context: "zero insertion",
+        detail: format!(
+            "padding {:?} not below kernel {:?} on some axis (a cropped output)",
+            params.padding, params.kernel
+        ),
+    })?;
     let shape = input.shape();
-    let (ed, eh, ew) = zero_inserted_extent(params, shape);
+    let (ed, eh, ew) = (
+        ins.extent(0, shape.depth),
+        ins.extent(1, shape.height),
+        ins.extent(2, shape.width),
+    );
     let expanded_shape = Shape::new(shape.channels, ed, eh, ew);
     let mut out = Tensor::zeros(expanded_shape);
     for c in 0..shape.channels {
@@ -147,14 +168,14 @@ mod tests {
     #[test]
     fn paper_example_expands_4x4_to_11x11() {
         let params = ConvParams::transposed_2d(5, 2, 2);
-        let (d, h, w) = zero_inserted_extent(&params, Shape::new_2d(1, 4, 4));
+        let (d, h, w) = zero_inserted_extent(&params, Shape::new_2d(1, 4, 4)).unwrap();
         assert_eq!((d, h, w), (1, 11, 11));
     }
 
     #[test]
     fn conventional_expansion_is_just_padding() {
         let params = ConvParams::conv_2d(3, 1, 1);
-        let (d, h, w) = zero_inserted_extent(&params, Shape::new_2d(1, 4, 4));
+        let (d, h, w) = zero_inserted_extent(&params, Shape::new_2d(1, 4, 4)).unwrap();
         assert_eq!((d, h, w), (1, 6, 6));
     }
 
@@ -179,7 +200,7 @@ mod tests {
     #[test]
     fn source_mapping_round_trips() {
         let params = ConvParams::transposed_2d(5, 2, 2);
-        let ins = ZeroInsertion::from_params(&params);
+        let ins = ZeroInsertion::from_params(&params).unwrap();
         // Border is 2, step is 2: expanded 2 -> 0, 4 -> 1, 6 -> 2, 8 -> 3.
         assert_eq!(ins.source(1, 2, 4), Some(0));
         assert_eq!(ins.source(1, 4, 4), Some(1));
@@ -192,7 +213,7 @@ mod tests {
     #[test]
     fn trailing_output_padding_grows_extent() {
         let params = ConvParams::transposed_2d(5, 2, 2).with_output_padding(0, 1, 1);
-        let (_, h, w) = zero_inserted_extent(&params, Shape::new_2d(1, 4, 4));
+        let (_, h, w) = zero_inserted_extent(&params, Shape::new_2d(1, 4, 4)).unwrap();
         assert_eq!((h, w), (12, 12));
     }
 
@@ -204,5 +225,23 @@ mod tests {
         // (2-1)*2 + 1 + 2*(4-1-1) = 7 along each axis.
         assert_eq!(expanded.shape(), Shape::new(1, 7, 7, 7));
         assert_eq!(expanded.len() - expanded.zero_count(), 8);
+    }
+
+    /// A transposed convolution whose padding reaches its kernel crops its
+    /// output: the expansion refuses it instead of underflowing the border
+    /// (which panicked in debug builds and wrapped in release builds).
+    #[test]
+    fn cropping_transposed_convolutions_have_no_expansion() {
+        let params = ConvParams::transposed_2d(3, 2, 3);
+        assert_eq!(ZeroInsertion::from_params(&params), None);
+        assert_eq!(zero_inserted_extent(&params, Shape::new_2d(2, 4, 4)), None);
+        let input = Tensor::filled(Shape::new_2d(2, 4, 4), 1.0);
+        assert!(matches!(
+            zero_insert(&input, &params),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        // Padding one below the kernel is the last geometry with a border.
+        let edge = ConvParams::transposed_2d(3, 2, 2);
+        assert_eq!(ZeroInsertion::from_params(&edge).unwrap().border, (0, 0, 0));
     }
 }

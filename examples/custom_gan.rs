@@ -108,7 +108,9 @@ fn main() {
     let eyeriss = EyerissModel::paper();
     let ganax = GanaxModel::paper();
     let eyeriss_gen = eyeriss.run_network(&gan.generator);
-    let ganax_gen = ganax.run_network(&gan.generator);
+    let ganax_gen = ganax
+        .run_network(&gan.generator)
+        .expect("the custom generator has no cropping transposed convolution");
     println!("\n  per-layer generator cycles (Eyeriss -> GANAX):");
     for (e, g) in eyeriss_gen.layers.iter().zip(&ganax_gen.layers) {
         println!(

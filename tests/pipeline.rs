@@ -58,7 +58,10 @@ fn schedule_estimates_are_consistent_with_accelerator_stats() {
             let conv = ScheduleEstimate::estimate(&geometry, array, DataflowMode::Conventional);
             let reorg = ScheduleEstimate::estimate(&geometry, array, DataflowMode::Reorganized);
             assert_eq!(eyeriss.run_layer(layer).cycles, conv.schedule_cycles);
-            assert_eq!(ganax.run_layer(layer).cycles, reorg.schedule_cycles);
+            assert_eq!(
+                ganax.run_layer(layer).unwrap().cycles,
+                reorg.schedule_cycles
+            );
             assert!(reorg.schedule_cycles <= conv.schedule_cycles);
         }
     }
@@ -76,7 +79,7 @@ fn accelerators_agree_exactly_on_discriminators() {
             continue;
         }
         let e = eyeriss.run_network(&gan.discriminator);
-        let g = ganax.run_network(&gan.discriminator);
+        let g = ganax.run_network(&gan.discriminator).unwrap();
         assert_eq!(e.total_cycles(), g.total_cycles(), "{}", gan.name);
         assert_eq!(
             e.total_counts().alu_ops,
@@ -91,7 +94,7 @@ fn accelerators_agree_exactly_on_discriminators() {
 fn energy_breakdown_totals_match_component_sums() {
     let ganax = GanaxModel::paper();
     for gan in zoo::all_models() {
-        let stats = ganax.run_network(&gan.generator);
+        let stats = ganax.run_network(&gan.generator).unwrap();
         let total = stats.total_energy();
         let component_sum: f64 = stats.layers.iter().map(|l| l.energy.total_pj()).sum();
         assert!(

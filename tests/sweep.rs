@@ -65,7 +65,10 @@ fn non_default_config_runs_reduced_dcgan_bit_identically_across_threads() {
 
     // The machine's measured activity still cross-checks against the
     // analytic model *at the same non-default configuration*.
-    for check in GanaxModel::new(config).cross_check(&network, &serial) {
+    for check in GanaxModel::new(config)
+        .cross_check(&network, &serial)
+        .unwrap()
+    {
         assert!(check.is_consistent(), "{} diverged", check.layer);
     }
 }
