@@ -70,6 +70,7 @@ fn bench_array_sweep(c: &mut Criterion) {
         };
         let eyeriss = EyerissModel::new(config.base)
             .run_network(&gen)
+            .unwrap()
             .total_cycles();
         let ganax = GanaxModel::new(config)
             .run_network(&gen)

@@ -22,7 +22,13 @@ fn bench_fig10(c: &mut Criterion) {
     group.sample_size(10);
     let three_d = zoo::three_d_gan();
     group.bench_function("3d_gan_unit_energy", |b| {
-        b.iter(|| std::hint::black_box(ModelComparison::compare(&three_d).generator_unit_energy()))
+        b.iter(|| {
+            std::hint::black_box(
+                ModelComparison::compare(&three_d)
+                    .unwrap()
+                    .generator_unit_energy(),
+            )
+        })
     });
     group.finish();
 }

@@ -26,6 +26,7 @@ fn bench_fig11(c: &mut Criterion) {
             std::hint::black_box(
                 EyerissModel::paper()
                     .run_network(&gen)
+                    .unwrap()
                     .average_utilization(),
             )
         })

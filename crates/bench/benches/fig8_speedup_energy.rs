@@ -24,7 +24,9 @@ fn bench_fig8(c: &mut Criterion) {
     group.sample_size(10);
     for gan in zoo::all_models() {
         group.bench_function(&gan.name, |b| {
-            b.iter(|| std::hint::black_box(ModelComparison::compare(&gan).generator_speedup()))
+            b.iter(|| {
+                std::hint::black_box(ModelComparison::compare(&gan).unwrap().generator_speedup())
+            })
         });
     }
     group.finish();

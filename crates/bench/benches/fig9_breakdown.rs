@@ -27,7 +27,7 @@ fn bench_fig9(c: &mut Criterion) {
     let dcgan = zoo::dcgan();
     group.bench_function("dcgan_breakdowns", |b| {
         b.iter(|| {
-            let report = ModelComparison::compare(&dcgan);
+            let report = ModelComparison::compare(&dcgan).unwrap();
             std::hint::black_box((report.runtime_breakdown(), report.energy_breakdown()))
         })
     });

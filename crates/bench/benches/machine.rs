@@ -21,7 +21,7 @@ fn bench_machine(c: &mut Criterion) {
     // way the engine's `dispatch_group` issues it: one gathered input stream
     // replayed per channel, the channels' weight streams back to back, a
     // contiguous output run and virtual `repeat`+`mac` pairs, retired in one
-    // `step_burst` call.
+    // one-row `retire_block` call.
     group.bench_function("pe_chunk_retire_8x3", |b| {
         let cols = 8u16;
         let taps = 3u16;
@@ -41,9 +41,12 @@ fn bench_machine(c: &mut Criterion) {
             pe.start_all();
             pe.set_repeat(taps);
             pe.try_push_mac_pairs((channels * cols) as usize).unwrap();
-            let cycles = pe.step_burst(1_000);
-            assert!(pe.is_idle(), "the dispatch must retire in one call");
-            std::hint::black_box((cycles, pe.read_output(0)))
+            let retired = pe.retire_block(1, 0, |_, _| {});
+            assert!(
+                retired && pe.is_idle(),
+                "the dispatch must retire in one call"
+            );
+            std::hint::black_box(pe.read_output(0))
         })
     });
 

@@ -183,7 +183,7 @@ fn print_fig5() {
     use ganax_dataflow::{AxisPhases, OutputRowGroups};
     use ganax_tensor::ConvParams;
     let params = ConvParams::transposed_2d(5, 2, 2);
-    let phases = AxisPhases::vertical(&params, 4);
+    let phases = AxisPhases::vertical(&params, 4).unwrap();
     let groups = OutputRowGroups::new(&phases, phases.output_extent());
     println!(
         "conventional compute-node utilization: {}",

@@ -8,7 +8,7 @@
 //! use ganax_models::zoo;
 //!
 //! // Figure 8, one bar: DCGAN's generator on GANAX vs. Eyeriss.
-//! let report = ModelComparison::compare(&zoo::dcgan());
+//! let report = ModelComparison::compare(&zoo::dcgan()).unwrap();
 //! assert!(report.generator_speedup() > 2.0);
 //! assert!(report.generator_energy_reduction() > 1.5);
 //!
@@ -27,7 +27,7 @@ use ganax_models::{GanModel, Network};
 use ganax_tensor::Tensor;
 
 use crate::config::GanaxConfig;
-use crate::machine::{GanaxMachine, MachineError};
+use crate::machine::{geometry_unsupported, GanaxMachine, MachineError};
 use crate::network::{NetworkExecution, NetworkWeights};
 use crate::perf::{GanaxModel, LayerCrossCheck};
 
@@ -48,31 +48,30 @@ pub struct ModelComparison {
 
 impl ModelComparison {
     /// Runs a GAN on both accelerators with the paper's configuration.
-    pub fn compare(gan: &GanModel) -> Self {
+    ///
+    /// # Errors
+    /// As [`ModelComparison::compare_with`].
+    pub fn compare(gan: &GanModel) -> Result<Self, MachineError> {
         Self::compare_with(gan, GanaxConfig::paper())
     }
 
     /// Runs a GAN on both accelerators with an explicit configuration.
     ///
-    /// # Panics
-    /// On a transposed convolution whose padding is not below its kernel on
-    /// some axis: it crops its output, which neither analytic model covers
-    /// (no zoo GAN has one).
-    pub fn compare_with(gan: &GanModel, config: GanaxConfig) -> Self {
+    /// # Errors
+    /// [`MachineError::Unsupported`] for a transposed convolution whose
+    /// padding is not below its kernel on some axis: it crops its output,
+    /// which neither analytic model covers (no zoo GAN has one).
+    pub fn compare_with(gan: &GanModel, config: GanaxConfig) -> Result<Self, MachineError> {
         let eyeriss = EyerissModel::new(config.base);
         let ganax = GanaxModel::new(config);
-        let ganax_run = |network| {
-            ganax
-                .run_network(network)
-                .unwrap_or_else(|e| panic!("`{}`: {e}", gan.name))
-        };
-        ModelComparison {
+        let eyeriss_run = |network| eyeriss.run_network(network).map_err(geometry_unsupported);
+        Ok(ModelComparison {
             gan_name: gan.name.clone(),
-            eyeriss_generator: eyeriss.run_network(&gan.generator),
-            ganax_generator: ganax_run(&gan.generator),
-            eyeriss_discriminator: eyeriss.run_network(&gan.discriminator),
-            ganax_discriminator: ganax_run(&gan.discriminator),
-        }
+            eyeriss_generator: eyeriss_run(&gan.generator)?,
+            ganax_generator: ganax.run_network(&gan.generator)?,
+            eyeriss_discriminator: eyeriss_run(&gan.discriminator)?,
+            ganax_discriminator: ganax.run_network(&gan.discriminator)?,
+        })
     }
 
     /// Figure 8a: speedup of the generative model on GANAX over Eyeriss.
@@ -219,7 +218,9 @@ impl SimulatedComparison {
         let execution = GanaxMachine::new(config).execute_network(network, input, weights)?;
         let ganax = GanaxModel::new(config);
         let analytical = ganax.run_network(network)?;
-        let eyeriss = EyerissModel::new(config.base).run_network(network);
+        let eyeriss = EyerissModel::new(config.base)
+            .run_network(network)
+            .map_err(geometry_unsupported)?;
         let checks = ganax.cross_check(network, &execution)?;
         Ok(SimulatedComparison {
             network_name: network.name().to_string(),
@@ -294,9 +295,13 @@ impl SimulatedComparison {
 pub fn compare_all() -> Vec<ModelComparison> {
     ganax_models::zoo::all_models()
         .iter()
-        .map(ModelComparison::compare)
+        .map(|gan| ModelComparison::compare(gan).expect(ZOO_IS_MODELLED))
         .collect()
 }
+
+/// Why a zoo comparison cannot fail: no Table I GAN has a transposed
+/// convolution with padding ≥ kernel, the one geometry the models refuse.
+pub(crate) const ZOO_IS_MODELLED: &str = "no Table I GAN has a cropping transposed convolution";
 
 /// Geometric mean of an iterator of positive values (used for the "Geomean"
 /// columns of Figure 8).
@@ -324,7 +329,7 @@ mod tests {
 
     #[test]
     fn dcgan_report_matches_expected_shape() {
-        let report = ModelComparison::compare(&zoo::dcgan());
+        let report = ModelComparison::compare(&zoo::dcgan()).unwrap();
         assert!(report.generator_speedup() > 2.0);
         assert!(report.generator_energy_reduction() > 1.5);
         assert!((report.discriminator_speedup() - 1.0).abs() < 0.05);
@@ -333,7 +338,7 @@ mod tests {
 
     #[test]
     fn runtime_breakdown_normalizes_to_eyeriss() {
-        let report = ModelComparison::compare(&zoo::dcgan());
+        let report = ModelComparison::compare(&zoo::dcgan()).unwrap();
         let ((e_disc, e_gen), (g_disc, g_gen)) = report.runtime_breakdown();
         assert!((e_disc + e_gen - 1.0).abs() < 1e-9);
         // GANAX's total is strictly smaller than Eyeriss's.
@@ -343,7 +348,7 @@ mod tests {
 
     #[test]
     fn energy_breakdown_normalizes_to_eyeriss() {
-        let report = ModelComparison::compare(&zoo::three_d_gan());
+        let report = ModelComparison::compare(&zoo::three_d_gan()).unwrap();
         let ((e_disc, e_gen), (g_disc, g_gen)) = report.energy_breakdown();
         assert!((e_disc + e_gen - 1.0).abs() < 1e-9);
         assert!(g_disc + g_gen < 1.0);
@@ -352,7 +357,7 @@ mod tests {
 
     #[test]
     fn unit_energy_shows_reduction_in_every_category() {
-        let report = ModelComparison::compare(&zoo::dcgan());
+        let report = ModelComparison::compare(&zoo::dcgan()).unwrap();
         for (category, eyeriss, ganax) in report.generator_unit_energy() {
             assert!(
                 ganax <= eyeriss + 1e-12,
@@ -419,7 +424,7 @@ mod tests {
     #[test]
     fn utilization_improves_for_every_gan() {
         for gan in zoo::all_models() {
-            let report = ModelComparison::compare(&gan);
+            let report = ModelComparison::compare(&gan).unwrap();
             let (eyeriss, ganax) = report.generator_utilization();
             assert!(ganax > eyeriss, "{}: {ganax} <= {eyeriss}", gan.name);
             assert!(ganax > 0.55, "{}: GANAX utilization = {ganax}", gan.name);

@@ -15,6 +15,7 @@ use ganax_isa::{
 use ganax_models::Layer;
 
 use crate::config::GanaxConfig;
+use crate::machine::{geometry_unsupported, MachineError};
 
 /// Compiles layers into [`LayerProgram`]s.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,9 +41,14 @@ impl GanaxCompiler {
     }
 
     /// Compiles one layer.
-    pub fn compile_layer(&self, layer: &Layer) -> LayerProgram {
+    ///
+    /// # Errors
+    /// [`MachineError::Unsupported`] for a transposed convolution whose
+    /// padding is not below its kernel on some axis (it crops its output;
+    /// see [`LayerGeometry::for_layer`]).
+    pub fn compile_layer(&self, layer: &Layer) -> Result<LayerProgram, MachineError> {
         let num_pvs = self.config.array().num_pvs;
-        let geometry = LayerGeometry::for_layer(layer);
+        let geometry = LayerGeometry::for_layer(layer).map_err(geometry_unsupported)?;
         let mut program = LayerProgram::new(&layer.name, num_pvs);
 
         if Self::uses_simd_mode(layer) {
@@ -50,7 +56,7 @@ impl GanaxCompiler {
         } else {
             self.compile_mimd_simd(layer, &geometry, &mut program);
         }
-        program
+        Ok(program)
     }
 
     /// SIMD compilation: every PE runs the same repeated `mac` on distinct
@@ -223,7 +229,7 @@ mod tests {
     fn conv_layers_compile_to_simd_programs() {
         let dcgan = zoo::dcgan();
         for layer in dcgan.discriminator.layers() {
-            let program = compiler().compile_layer(layer);
+            let program = compiler().compile_layer(layer).unwrap();
             let stats = program.stats();
             assert_eq!(stats.mimd_entries(), 0, "{}", layer.name);
             assert!(stats.simd_entries >= 2);
@@ -235,7 +241,7 @@ mod tests {
     fn tconv_layers_compile_to_mimd_simd_programs() {
         let dcgan = zoo::dcgan();
         for layer in dcgan.generator.layers().iter().filter(|l| l.is_tconv()) {
-            let program = compiler().compile_layer(layer);
+            let program = compiler().compile_layer(layer).unwrap();
             let stats = program.stats();
             assert!(stats.mimd_entries() >= 2, "{}", layer.name);
             assert_eq!(stats.simd_entries, 0, "{}", layer.name);
@@ -247,7 +253,7 @@ mod tests {
     fn every_pv_gets_access_setup_and_repeat_preload() {
         let dcgan = zoo::dcgan();
         let layer = &dcgan.generator.layers()[1];
-        let program = compiler().compile_layer(layer);
+        let program = compiler().compile_layer(layer).unwrap();
         let num_pvs = GanaxConfig::paper().array().num_pvs;
         // 3 generators x (5 cfg + 1 start) per PV.
         assert_eq!(program.access_setup.len(), num_pvs * 18);
@@ -280,8 +286,8 @@ mod tests {
                 })
                 .unwrap()
         };
-        assert_eq!(step_of(&compiler().compile_layer(tconv)), 2);
-        assert_eq!(step_of(&compiler().compile_layer(conv)), 1);
+        assert_eq!(step_of(&compiler().compile_layer(tconv).unwrap()), 2);
+        assert_eq!(step_of(&compiler().compile_layer(conv).unwrap()), 1);
     }
 
     #[test]
@@ -293,7 +299,7 @@ mod tests {
             .iter()
             .chain(gan.discriminator.layers())
         {
-            let program = compiler().compile_layer(layer);
+            let program = compiler().compile_layer(layer).unwrap();
             let words = compiler().encode_global_sequence(&program);
             assert_eq!(words.len(), program.global_sequence.len());
             for (word, uop) in words.iter().zip(&program.global_sequence) {
@@ -320,9 +326,14 @@ mod tests {
             ganax_models::Activation::None,
         )
         .unwrap();
-        let a = compiler().compile_layer(&with_act).stats().global_entries;
+        let a = compiler()
+            .compile_layer(&with_act)
+            .unwrap()
+            .stats()
+            .global_entries;
         let b = compiler()
             .compile_layer(&without_act)
+            .unwrap()
             .stats()
             .global_entries;
         assert_eq!(a, b + 1);

@@ -16,7 +16,9 @@
 //!   state performs no planning and no allocation churn;
 //! * [`InferenceEngine::execute_batch`] shards *batch × phase-major output
 //!   rows* across the pool and amortizes gathered weight streams across every
-//!   resident row of every batch element.
+//!   resident row of every batch element. [`InferenceEngine::execute`] is its
+//!   one-element case: both run the same layer loop, so a single inference
+//!   and a batch check, guard and report their layers identically.
 //!
 //! The engine is the workspace's one fast execution path: the per-layer
 //! [`GanaxMachine::execute_layer_threaded`] and the one-shot
@@ -756,14 +758,6 @@ impl InferenceEngine {
         }
     }
 
-    /// Spawns an engine sized from [`std::thread::available_parallelism`].
-    pub fn with_available_parallelism(machine: GanaxMachine) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::new(machine, threads)
-    }
-
     /// Pool workers owned by the engine.
     pub fn threads(&self) -> usize {
         self.threads
@@ -961,82 +955,16 @@ impl InferenceEngine {
         compiled: &CompiledNetwork,
         input: &Tensor,
     ) -> Result<NetworkExecution, MachineError> {
-        self.check_compiled(compiled)?;
-        if input.shape() != compiled.network.input_shape() {
-            return Err(MachineError::ShapeMismatch {
-                detail: format!(
-                    "input {} != network input {}",
-                    input.shape(),
-                    compiled.network.input_shape()
-                ),
-            });
-        }
         let start = Instant::now();
-        // One execution = one fault epoch: non-persistent corruption armed in
-        // this epoch fires deterministically here, and a *retry* (the next
-        // epoch) runs clean — transient-fault semantics the serving layer's
-        // retry path relies on.
-        self.injector.begin_epoch();
-        let mut reports = Vec::with_capacity(compiled.layers.len());
-        let mut current = Arc::new(input.clone());
-        for (i, layer) in compiled.network.layers().iter().enumerate() {
-            let layer_start = Instant::now();
-            match &compiled.layers[i] {
-                CompiledLayer::Host => {
-                    let mut out = host_projection(layer, &current, compiled.weights.weight(i))?;
-                    finish_layer_output(layer, &mut out, compiled.weights.bias(i));
-                    check_finite(&layer.name, &out)?;
-                    current = Arc::new(out);
-                    reports.push(LayerExecution {
-                        name: layer.name.clone(),
-                        is_tconv: false,
-                        host: true,
-                        busy_pe_cycles: 0,
-                        work_units: 0,
-                        counts: EventCounts::default(),
-                        balance: 1.0,
-                        wall_seconds: layer_start.elapsed().as_secs_f64(),
-                    });
-                }
-                CompiledLayer::Machine {
-                    layer: shared,
-                    plan,
-                } => {
-                    let inputs = Arc::new(vec![Arc::clone(&current)]);
-                    let run = self.run_layer(shared, plan, i, inputs)?;
-                    let mut outputs = run.outputs;
-                    let Some(mut out) = outputs.pop() else {
-                        return Err(MachineError::PoolUnavailable {
-                            detail: "single-element batch produced no output".into(),
-                        });
-                    };
-                    let max_shard = run.shard_busy.iter().copied().max().unwrap_or(0);
-                    let balance = if max_shard == 0 {
-                        1.0
-                    } else {
-                        run.busy_pe_cycles as f64 / (run.shard_busy.len() as u64 * max_shard) as f64
-                    };
-                    self.check_verified_finite(&layer.name, &out)?;
-                    finish_layer_output(layer, &mut out, compiled.weights.bias(i));
-                    current = Arc::new(out);
-                    reports.push(LayerExecution {
-                        name: layer.name.clone(),
-                        is_tconv: layer.is_tconv(),
-                        host: false,
-                        busy_pe_cycles: run.busy_pe_cycles,
-                        work_units: run.work_units,
-                        counts: run.counts,
-                        balance,
-                        wall_seconds: layer_start.elapsed().as_secs_f64(),
-                    });
-                }
-            }
-        }
+        let (mut outputs, layers) = self.run_network(compiled, std::slice::from_ref(input))?;
+        let output = outputs.pop().ok_or_else(|| MachineError::PoolUnavailable {
+            detail: "single-element batch produced no output".into(),
+        })?;
         Ok(NetworkExecution {
             network: compiled.network.name().to_string(),
             threads: self.threads,
-            layers: reports,
-            output: Arc::try_unwrap(current).unwrap_or_else(|arc| (*arc).clone()),
+            layers,
+            output,
             wall_seconds: start.elapsed().as_secs_f64(),
             // True by construction: `CompiledLayer::Machine` always carries
             // its plan, so this path contains no planning code. CONTRACT for
@@ -1061,37 +989,69 @@ impl InferenceEngine {
         compiled: &CompiledNetwork,
         inputs: &[Tensor],
     ) -> Result<BatchExecution, MachineError> {
+        let start = Instant::now();
+        let (outputs, layers) = self.run_network(compiled, inputs)?;
+        Ok(BatchExecution {
+            network: compiled.network.name().to_string(),
+            threads: self.threads,
+            outputs,
+            busy_pe_cycles: layers.iter().map(|l| l.busy_pe_cycles).sum(),
+            counts: layers.iter().map(|l| l.counts).sum(),
+            work_units: layers.iter().map(|l| l.work_units).sum(),
+            wall_seconds: start.elapsed().as_secs_f64(),
+        })
+    }
+
+    /// The network loop behind [`InferenceEngine::execute`] and
+    /// [`InferenceEngine::execute_batch`]: checks the artifact and every
+    /// input, opens one fault epoch, and runs each layer over the whole
+    /// batch — a host projection element by element, a PE-array layer as one
+    /// pooled [`run_layer`](Self::run_layer) — guarding each output against
+    /// non-finite values before its bias and activation. Returns the final
+    /// outputs in input order and one [`LayerExecution`] per layer, its
+    /// activity summed over the batch.
+    fn run_network(
+        &self,
+        compiled: &CompiledNetwork,
+        inputs: &[Tensor],
+    ) -> Result<(Vec<Tensor>, Vec<LayerExecution>), MachineError> {
         self.check_compiled(compiled)?;
         if inputs.is_empty() {
             return Err(MachineError::ShapeMismatch {
                 detail: "empty inference batch".into(),
             });
         }
-        for input in inputs {
-            if input.shape() != compiled.network.input_shape() {
-                return Err(MachineError::ShapeMismatch {
-                    detail: format!(
-                        "input {} != network input {}",
-                        input.shape(),
-                        compiled.network.input_shape()
-                    ),
-                });
-            }
+        let expected = compiled.network.input_shape();
+        if let Some(input) = inputs.iter().find(|input| input.shape() != expected) {
+            return Err(MachineError::ShapeMismatch {
+                detail: format!("input {} != network input {expected}", input.shape()),
+            });
         }
-        let start = Instant::now();
-        // One batch = one fault epoch (see `execute`): a retried batch runs
-        // clean of non-persistent corruption.
+        // One call = one fault epoch: non-persistent corruption armed in
+        // this epoch fires deterministically here, and a *retry* (the next
+        // epoch) runs clean — transient-fault semantics the serving layer's
+        // retry path relies on.
         self.injector.begin_epoch();
         let mut currents: Vec<Arc<Tensor>> = inputs.iter().map(|t| Arc::new(t.clone())).collect();
-        let mut busy_pe_cycles = 0u64;
-        let mut counts = EventCounts::default();
-        let mut work_units = 0u64;
+        let mut reports = Vec::with_capacity(compiled.layers.len());
         for (i, layer) in compiled.network.layers().iter().enumerate() {
+            let layer_start = Instant::now();
+            let bias = compiled.weights.bias(i);
+            let mut report = LayerExecution {
+                name: layer.name.clone(),
+                is_tconv: false,
+                host: true,
+                busy_pe_cycles: 0,
+                work_units: 0,
+                counts: EventCounts::default(),
+                balance: 1.0,
+                wall_seconds: 0.0,
+            };
             match &compiled.layers[i] {
                 CompiledLayer::Host => {
-                    for current in currents.iter_mut() {
+                    for current in &mut currents {
                         let mut out = host_projection(layer, current, compiled.weights.weight(i))?;
-                        finish_layer_output(layer, &mut out, compiled.weights.bias(i));
+                        finish_layer_output(layer, &mut out, bias);
                         check_finite(&layer.name, &out)?;
                         *current = Arc::new(out);
                     }
@@ -1100,31 +1060,32 @@ impl InferenceEngine {
                     layer: shared,
                     plan,
                 } => {
-                    let layer_inputs = Arc::new(currents.clone());
-                    let run = self.run_layer(shared, plan, i, layer_inputs)?;
+                    let run = self.run_layer(shared, plan, i, Arc::new(currents.clone()))?;
                     for (current, mut out) in currents.iter_mut().zip(run.outputs) {
                         self.check_verified_finite(&layer.name, &out)?;
-                        finish_layer_output(layer, &mut out, compiled.weights.bias(i));
+                        finish_layer_output(layer, &mut out, bias);
                         *current = Arc::new(out);
                     }
-                    busy_pe_cycles += run.busy_pe_cycles;
-                    counts += run.counts;
-                    work_units += run.work_units;
+                    let max_shard = run.shard_busy.iter().copied().max().unwrap_or(0);
+                    if max_shard > 0 {
+                        report.balance = run.busy_pe_cycles as f64
+                            / (run.shard_busy.len() as u64 * max_shard) as f64;
+                    }
+                    report.is_tconv = layer.is_tconv();
+                    report.host = false;
+                    report.busy_pe_cycles = run.busy_pe_cycles;
+                    report.work_units = run.work_units;
+                    report.counts = run.counts;
                 }
             }
+            report.wall_seconds = layer_start.elapsed().as_secs_f64();
+            reports.push(report);
         }
-        Ok(BatchExecution {
-            network: compiled.network.name().to_string(),
-            threads: self.threads,
-            outputs: currents
-                .into_iter()
-                .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()))
-                .collect(),
-            busy_pe_cycles,
-            counts,
-            work_units,
-            wall_seconds: start.elapsed().as_secs_f64(),
-        })
+        let outputs = currents
+            .into_iter()
+            .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()))
+            .collect();
+        Ok((outputs, reports))
     }
 
     /// Plans one layer and runs it once through the pool as network layer 0,
@@ -1278,23 +1239,21 @@ impl InferenceEngine {
     ) -> Vec<Option<Result<ShardOutput, MachineError>>> {
         let (reply_tx, reply_rx) = channel();
         let wave = self.wave_counter.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut state = lock_unpoisoned(&self.shared.state);
-            for (task_id, &shard) in ids.iter().enumerate() {
-                state.tasks.push_back(ShardTask {
-                    task_id,
-                    wave,
-                    layer: Arc::clone(layer),
-                    plan: Arc::clone(plan),
-                    layer_index,
-                    injector: Arc::clone(&self.injector),
-                    inputs: Arc::clone(inputs),
-                    rows: Arc::clone(&meta[shard]),
-                    verify,
-                    reply: reply_tx.clone(),
-                });
-            }
-        }
+        let task = |task_id: usize| ShardTask {
+            task_id,
+            wave,
+            layer: Arc::clone(layer),
+            plan: Arc::clone(plan),
+            layer_index,
+            injector: Arc::clone(&self.injector),
+            inputs: Arc::clone(inputs),
+            rows: Arc::clone(&meta[ids[task_id]]),
+            verify,
+            reply: reply_tx.clone(),
+        };
+        lock_unpoisoned(&self.shared.state)
+            .tasks
+            .extend((0..ids.len()).map(&task));
         // One wakeup per task when the wave cannot occupy the whole pool;
         // otherwise a single broadcast. Either way no worker is woken only to
         // find the queue already drained by its siblings.
@@ -1326,21 +1285,9 @@ impl InferenceEngine {
                             attempts[task_id] += 1;
                             self.replace_crashed_worker();
                             self.requeued_shards.fetch_add(1, Ordering::Relaxed);
-                            {
-                                let mut state = lock_unpoisoned(&self.shared.state);
-                                state.tasks.push_back(ShardTask {
-                                    task_id,
-                                    wave,
-                                    layer: Arc::clone(layer),
-                                    plan: Arc::clone(plan),
-                                    layer_index,
-                                    injector: Arc::clone(&self.injector),
-                                    inputs: Arc::clone(inputs),
-                                    rows: Arc::clone(&meta[ids[task_id]]),
-                                    verify,
-                                    reply: reply_tx.clone(),
-                                });
-                            }
+                            lock_unpoisoned(&self.shared.state)
+                                .tasks
+                                .push_back(task(task_id));
                             // A single requeued shard needs exactly one worker.
                             self.shared.available.notify_one();
                         }
@@ -1503,14 +1450,7 @@ impl InferenceEngine {
 
 impl Drop for InferenceEngine {
     fn drop(&mut self) {
-        {
-            let mut state = lock_unpoisoned(&self.shared.state);
-            state.shutdown = true;
-        }
-        self.shared.available.notify_all();
-        for handle in lock_unpoisoned(&self.handles).drain(..) {
-            let _ = handle.join();
-        }
+        self.shut_down_pool();
     }
 }
 
@@ -1733,14 +1673,17 @@ mod tests {
         assert_eq!(batch.batch_size(), 3);
         let mut busy = 0u64;
         let mut counts = EventCounts::default();
+        let mut work_units = 0u64;
         for (input, output) in inputs.iter().zip(&batch.outputs) {
             let single = engine.execute(&compiled, input).unwrap();
             assert_eq!(&single.output, output, "batch element diverged");
             busy += single.total_busy_pe_cycles();
             counts += single.total_counts();
+            work_units += single.total_work_units();
         }
         assert_eq!(batch.busy_pe_cycles, busy, "aggregate busy cycles");
         assert_eq!(batch.counts, counts, "aggregate counters");
+        assert_eq!(batch.work_units, work_units, "aggregate work units");
         assert!(batch.inferences_per_second() > 0.0);
     }
 
@@ -1750,10 +1693,15 @@ mod tests {
         let weights = toy_weights(&net, 53);
         let engine = InferenceEngine::new(GanaxMachine::paper(), 2);
         let compiled = engine.compile(&net, &weights).unwrap();
-        // Wrong input shape.
+        let good = Tensor::zeros(net.input_shape());
+        // Wrong input shape, alone or behind a good batch element.
         let bad = Tensor::zeros(Shape::new_2d(2, 1, 1));
         assert!(matches!(
             engine.execute(&compiled, &bad),
+            Err(MachineError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            engine.execute_batch(&compiled, &[good.clone(), bad]),
             Err(MachineError::ShapeMismatch { .. })
         ));
         // Empty batch.
@@ -1769,7 +1717,11 @@ mod tests {
         );
         let other_engine = InferenceEngine::new(other, 1);
         assert!(matches!(
-            other_engine.execute(&compiled, &Tensor::zeros(net.input_shape())),
+            other_engine.execute(&compiled, &good),
+            Err(MachineError::Unsupported { .. })
+        ));
+        assert!(matches!(
+            other_engine.execute_batch(&compiled, &[good.clone(), good]),
             Err(MachineError::Unsupported { .. })
         ));
     }
@@ -1827,16 +1779,35 @@ mod tests {
             layer: 2,
             ..FaultSpec::seeded(7, 1_000_000, FaultKind::NAN_POISON)
         };
-        let engine = InferenceEngine::new(faulty_machine(spec), 2);
-        let compiled = engine.compile(&net, &weights).unwrap();
-        match engine.execute(&compiled, &input) {
-            Err(MachineError::NonFiniteOutput { layer, .. }) => assert_eq!(layer, "smooth"),
-            other => panic!("expected NonFiniteOutput, got {other:?}"),
+        // One inference, then a batch of two on a fresh engine.
+        for batch in [1, 2] {
+            let engine = InferenceEngine::new(faulty_machine(spec), 2);
+            let compiled = engine.compile(&net, &weights).unwrap();
+            let inputs = vec![input.clone(); batch];
+            let run = |engine: &InferenceEngine| {
+                if batch == 1 {
+                    engine
+                        .execute(&compiled, &input)
+                        .map(|run| vec![run.output])
+                } else {
+                    engine
+                        .execute_batch(&compiled, &inputs)
+                        .map(|run| run.outputs)
+                }
+            };
+            match run(&engine) {
+                Err(MachineError::NonFiniteOutput { layer, .. }) => assert_eq!(layer, "smooth"),
+                other => panic!("batch of {batch}: expected NonFiniteOutput, got {other:?}"),
+            }
+            // The poison was transient: the next epoch runs clean,
+            // bit-identical to a fault-free machine.
+            let retry = run(&engine).unwrap();
+            assert_eq!(
+                retry,
+                vec![clean.clone(); batch],
+                "batch of {batch}: retried output"
+            );
         }
-        // The poison was transient: the next epoch runs clean, bit-identical
-        // to a fault-free machine.
-        let retry = engine.execute(&compiled, &input).unwrap();
-        assert_eq!(retry.output, clean, "retried output");
     }
 
     #[test]

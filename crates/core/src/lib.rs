@@ -46,7 +46,7 @@
 //! use ganax::compare::ModelComparison;
 //! use ganax_models::zoo;
 //!
-//! let report = ModelComparison::compare(&zoo::dcgan());
+//! let report = ModelComparison::compare(&zoo::dcgan()).unwrap();
 //! // DCGAN's generator is dominated by stride-2 transposed convolutions, so
 //! // GANAX speeds it up substantially while the discriminator is unaffected.
 //! assert!(report.generator_speedup() > 2.0);

@@ -49,7 +49,7 @@ use std::fmt;
 use ganax_dataflow::{LayerGeometry, OutputRowGroups};
 use ganax_energy::EventCounts;
 use ganax_isa::{AddrGenKind, ExecUop};
-use ganax_models::{Layer, LayerOp};
+use ganax_models::{Layer, LayerOp, NetworkError};
 use ganax_sim::{EmitFault, GeneratorConfig, LayerFaults, PeConfig, ProcessingEngine};
 use ganax_tensor::{ConvKind, ConvParams, Shape, Tensor, ZeroInsertion};
 
@@ -433,8 +433,13 @@ impl LayerPlan {
         (dispatches, column_words)
     }
 
-    fn build(layer: &Layer, params: &ConvParams, weights: &Tensor, pe: &PeConfig) -> Self {
-        let geometry = LayerGeometry::for_layer(layer);
+    fn build(
+        layer: &Layer,
+        params: &ConvParams,
+        geometry: &LayerGeometry,
+        weights: &Tensor,
+        pe: &PeConfig,
+    ) -> Self {
         let row_taps = (0..layer.output.height)
             .map(|oy| {
                 let ky_taps: Vec<usize> = match &geometry.height_phases {
@@ -881,13 +886,13 @@ impl GanaxMachine {
         self.config
             .validate()
             .map_err(|error| MachineError::Config { error })?;
-        let params = self.validate_weights(layer, weights)?;
+        let (params, geometry) = self.validate_weights(layer, weights)?;
         // One PE sizing governs both the plan (chunk/stream limits) and the
         // worker PEs, so chunks can never outgrow the engines executing them.
         // The sizing comes from the config (`GanaxConfig::sim_pe`; the
         // deep simulation default unless overridden).
         let pe_config = self.config.sim_pe;
-        let plan = LayerPlan::build(layer, &params, weights, &pe_config);
+        let plan = LayerPlan::build(layer, &params, &geometry, weights, &pe_config);
         Ok(PlannedLayer { pe_config, plan })
     }
 
@@ -908,8 +913,7 @@ impl GanaxMachine {
         self.config
             .validate()
             .map_err(|error| MachineError::Config { error })?;
-        let params = self.validate(layer, input, weights)?;
-        let geometry = LayerGeometry::for_layer(layer);
+        let (params, geometry) = self.validate(layer, input, weights)?;
         let mut output = Tensor::zeros(layer.output);
         let mut counts = EventCounts::default();
         let mut busy = 0u64;
@@ -986,14 +990,14 @@ impl GanaxMachine {
         layer: &Layer,
         input: &Tensor,
         weights: &Tensor,
-    ) -> Result<ConvParams, MachineError> {
-        let params = self.validate_weights(layer, weights)?;
+    ) -> Result<(ConvParams, LayerGeometry), MachineError> {
+        let validated = self.validate_weights(layer, weights)?;
         if input.shape() != layer.input {
             return Err(MachineError::ShapeMismatch {
                 detail: format!("input {} != layer input {}", input.shape(), layer.input),
             });
         }
-        Ok(params)
+        Ok(validated)
     }
 
     /// Checks layer support and the weight tensor's shape (everything the
@@ -1002,7 +1006,7 @@ impl GanaxMachine {
         &self,
         layer: &Layer,
         weights: &Tensor,
-    ) -> Result<ConvParams, MachineError> {
+    ) -> Result<(ConvParams, LayerGeometry), MachineError> {
         let params = match &layer.op {
             LayerOp::Conv(p) | LayerOp::TConv(p) => *p,
             LayerOp::Projection => {
@@ -1016,7 +1020,7 @@ impl GanaxMachine {
                 detail: "the cycle-level machine covers 2-D layers".into(),
             });
         }
-        refuse_cropping(&params)?;
+        let geometry = LayerGeometry::for_layer(layer).map_err(geometry_unsupported)?;
         let expected_weights = Shape::filter(
             layer.output.channels,
             layer.input.channels,
@@ -1033,7 +1037,7 @@ impl GanaxMachine {
                 ),
             });
         }
-        Ok(params)
+        Ok((params, geometry))
     }
 }
 
@@ -1293,26 +1297,17 @@ impl Default for GanaxMachine {
 }
 
 /// Why a planned layer's zero insertion exists: planning refuses the
-/// cropping geometries that have none ([`refuse_cropping`]).
+/// cropping geometries that have none ([`geometry_unsupported`]).
 const VALIDATED: &str = "planning refuses transposed convolutions that crop";
 
-/// Refuses a transposed convolution whose padding is not below its kernel
-/// on some axis: it crops its output (its zero-insertion border,
-/// `kernel - 1 - padding`, would be negative), which neither the machine's
-/// plan nor the analytic model can express.
-///
-/// # Errors
-/// [`MachineError::Unsupported`] for such a layer.
-pub(crate) fn refuse_cropping(params: &ConvParams) -> Result<(), MachineError> {
-    match ZeroInsertion::from_params(params) {
-        Some(_) => Ok(()),
-        None => Err(MachineError::Unsupported {
-            detail: format!(
-                "transposed convolution with padding {:?} not below kernel {:?} on some axis \
-                 (a cropped output)",
-                params.padding, params.kernel
-            ),
-        }),
+/// A layer [`LayerGeometry::for_layer`] refuses, as
+/// [`MachineError::Unsupported`]: a transposed convolution whose padding is
+/// not below its kernel on some axis crops its output (its zero-insertion
+/// border, `kernel - 1 - padding`, would be negative), which neither the
+/// machine's plan nor the analytic models can express.
+pub(crate) fn geometry_unsupported(error: NetworkError) -> MachineError {
+    MachineError::Unsupported {
+        detail: error.to_string(),
     }
 }
 

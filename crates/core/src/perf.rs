@@ -6,7 +6,7 @@ use ganax_models::{Layer, Network};
 
 use crate::compiler::GanaxCompiler;
 use crate::config::GanaxConfig;
-use crate::machine::{refuse_cropping, MachineError};
+use crate::machine::{geometry_unsupported, MachineError};
 use crate::network::NetworkExecution;
 
 /// Which subset of the GANAX mechanisms is enabled — used by the ablation
@@ -76,10 +76,7 @@ impl GanaxModel {
     /// which the model's zero-insertion geometry cannot express (the
     /// cycle-level machine refuses it the same way).
     pub fn run_layer(&self, layer: &Layer) -> Result<LayerStats, MachineError> {
-        if let Some(params) = layer.op.conv_params() {
-            refuse_cropping(&params)?;
-        }
-        let geometry = LayerGeometry::for_layer(layer);
+        let geometry = LayerGeometry::for_layer(layer).map_err(geometry_unsupported)?;
         let array = self.base().array;
 
         let (schedule, mode) = match self.variant {
@@ -280,7 +277,7 @@ impl Default for GanaxModel {
 mod tests {
     use super::*;
     use ganax_eyeriss::EyerissModel;
-    use ganax_models::{zoo, Activation, NetworkBuilder};
+    use ganax_models::{zoo, Activation, GanModel, NetworkBuilder};
     use ganax_tensor::{ConvParams, Shape};
 
     /// A transposed convolution whose padding reaches its kernel crops its
@@ -310,6 +307,17 @@ mod tests {
         };
         refused(model.run_layer(layer).map(drop), "run_layer");
         refused(model.run_network(&net).map(drop), "run_network");
+        // The comparison (which also runs the Eyeriss baseline) and the µop
+        // compiler share the geometry's refusal.
+        let gan = GanModel::new("crop", 2024, "cropping generator", net.clone(), net.clone());
+        refused(
+            crate::compare::ModelComparison::compare(&gan).map(drop),
+            "compare",
+        );
+        refused(
+            crate::GanaxCompiler::paper().compile_layer(layer).map(drop),
+            "compile_layer",
+        );
         // One step less padding keeps a zero border and is modelled.
         let edge = NetworkBuilder::new("edge", Shape::new_2d(2, 4, 4))
             .tconv(
@@ -337,7 +345,7 @@ mod tests {
         let ganax = GanaxModel::paper();
         let eyeriss = EyerissModel::paper();
         let gen = zoo::dcgan().generator;
-        let speedup = eyeriss.run_network(&gen).total_cycles() as f64
+        let speedup = eyeriss.run_network(&gen).unwrap().total_cycles() as f64
             / ganax.run_network(&gen).unwrap().total_cycles() as f64;
         assert!(speedup > 2.0, "speedup = {speedup}");
         assert!(speedup < 8.0, "speedup = {speedup}");
@@ -349,7 +357,7 @@ mod tests {
         let eyeriss = EyerissModel::paper();
         let disc = zoo::dcgan().discriminator;
         let g = ganax.run_network(&disc).unwrap().total_cycles();
-        let e = eyeriss.run_network(&disc).total_cycles();
+        let e = eyeriss.run_network(&disc).unwrap().total_cycles();
         assert_eq!(g, e, "GANAX must not slow conventional convolutions down");
     }
 
@@ -404,7 +412,7 @@ mod tests {
         let ganax = GanaxModel::paper();
         let eyeriss = EyerissModel::paper();
         let gen = zoo::three_d_gan().generator;
-        let reduction = eyeriss.run_network(&gen).total_energy().total_pj()
+        let reduction = eyeriss.run_network(&gen).unwrap().total_energy().total_pj()
             / ganax.run_network(&gen).unwrap().total_energy().total_pj();
         assert!(reduction > 2.0, "reduction = {reduction}");
     }

@@ -33,7 +33,7 @@ use ganax_models::zoo;
 use ganax_tensor::Tensor;
 use serde::Serialize;
 
-use crate::compare::{geometric_mean, ModelComparison, SimulatedComparison};
+use crate::compare::{geometric_mean, ModelComparison, SimulatedComparison, ZOO_IS_MODELLED};
 use crate::config::{ConfigError, GanaxConfig};
 use crate::machine::MachineError;
 use crate::network::NetworkWeights;
@@ -217,7 +217,7 @@ impl SweepSpec {
             let point = &self.points[p];
             let gan = &gans[n];
             let config = point.config;
-            let report = ModelComparison::compare_with(gan, config);
+            let report = ModelComparison::compare_with(gan, config).expect(ZOO_IS_MODELLED);
             SweepCell {
                 design: point.label.clone(),
                 network: gan.name.clone(),

@@ -1,7 +1,7 @@
 //! Layer geometry: the structural view of a layer that the PE-array schedules
 //! are computed from.
 
-use ganax_models::{Layer, LayerOp};
+use ganax_models::{Layer, LayerOp, NetworkError};
 use ganax_tensor::Shape;
 
 use crate::phase::AxisPhases;
@@ -78,21 +78,34 @@ pub struct LayerGeometry {
 impl LayerGeometry {
     /// Builds the geometry of a layer.
     ///
-    /// # Panics
-    /// On a transposed convolution whose padding is not below its kernel on
-    /// some axis (it crops its output, which the phase analysis cannot
-    /// express); callers refuse such layers first.
-    pub fn for_layer(layer: &Layer) -> Self {
+    /// # Errors
+    /// [`NetworkError::InvalidGeometry`] for a transposed convolution whose
+    /// padding is not below its kernel on some axis: it crops its output,
+    /// which the phase analysis (and every model built on it) cannot
+    /// express.
+    pub fn for_layer(layer: &Layer) -> Result<Self, NetworkError> {
         let (depth_phases, height_phases, width_phases, kernel) = match &layer.op {
             LayerOp::Projection => (None, None, None, (1, 1, 1)),
-            LayerOp::Conv(p) | LayerOp::TConv(p) => (
-                Some(AxisPhases::depth(p, layer.input.depth)),
-                Some(AxisPhases::vertical(p, layer.input.height)),
-                Some(AxisPhases::horizontal(p, layer.input.width)),
-                p.kernel,
-            ),
+            LayerOp::Conv(p) | LayerOp::TConv(p) => {
+                let phases = (
+                    AxisPhases::depth(p, layer.input.depth),
+                    AxisPhases::vertical(p, layer.input.height),
+                    AxisPhases::horizontal(p, layer.input.width),
+                );
+                let (Some(depth), Some(height), Some(width)) = phases else {
+                    return Err(NetworkError::InvalidGeometry {
+                        layer: layer.name.clone(),
+                        detail: format!(
+                            "transposed convolution with padding {:?} not below kernel {:?} \
+                             on some axis (a cropped output)",
+                            p.padding, p.kernel
+                        ),
+                    });
+                };
+                (Some(depth), Some(height), Some(width), p.kernel)
+            }
         };
-        LayerGeometry {
+        Ok(LayerGeometry {
             name: layer.name.clone(),
             is_tconv: layer.is_tconv(),
             is_projection: matches!(layer.op, LayerOp::Projection),
@@ -104,7 +117,7 @@ impl LayerGeometry {
             kernel,
             dense_macs: layer.dense_macs(),
             consequential_macs: layer.consequential_macs(),
-        }
+        })
     }
 
     /// Total output rows: one per (output channel, depth slice, row) triple.
@@ -225,7 +238,7 @@ mod tests {
     #[test]
     fn geometry_counts_match_layer_counts() {
         let layer = dcgan_like_layer();
-        let geo = LayerGeometry::for_layer(&layer);
+        let geo = LayerGeometry::for_layer(&layer).unwrap();
         assert_eq!(geo.dense_macs, layer.dense_macs());
         assert_eq!(geo.consequential_macs, layer.consequential_macs());
         assert_eq!(geo.total_output_rows(), 32 * 16);
@@ -235,7 +248,7 @@ mod tests {
 
     #[test]
     fn phase_groups_cover_all_rows() {
-        let geo = LayerGeometry::for_layer(&dcgan_like_layer());
+        let geo = LayerGeometry::for_layer(&dcgan_like_layer()).unwrap();
         let groups = geo.phase_groups();
         assert_eq!(groups.len(), 2);
         let covered: u64 = groups.iter().map(|g| g.num_rows).sum();
@@ -256,7 +269,7 @@ mod tests {
             Activation::Relu,
         )
         .unwrap();
-        let geo = LayerGeometry::for_layer(&layer);
+        let geo = LayerGeometry::for_layer(&layer).unwrap();
         let groups = geo.phase_groups();
         // Two depth phases x two height phases.
         assert_eq!(groups.len(), 4);
@@ -271,7 +284,7 @@ mod tests {
 
     #[test]
     fn filter_row_taps_tag_consequential_nodes() {
-        let geo = LayerGeometry::for_layer(&dcgan_like_layer());
+        let geo = LayerGeometry::for_layer(&dcgan_like_layer()).unwrap();
         let taps = geo.filter_row_taps(0, 0);
         assert_eq!(taps.len(), 5);
         let consequential: Vec<usize> = taps
@@ -292,7 +305,7 @@ mod tests {
             Shape::new_2d(256, 4, 4),
             Activation::Relu,
         );
-        let geo = LayerGeometry::for_layer(&layer);
+        let geo = LayerGeometry::for_layer(&layer).unwrap();
         assert!(geo.is_projection);
         let groups = geo.phase_groups();
         assert_eq!(groups.len(), 1);
@@ -310,7 +323,7 @@ mod tests {
             Activation::LeakyRelu,
         )
         .unwrap();
-        let geo = LayerGeometry::for_layer(&layer);
+        let geo = LayerGeometry::for_layer(&layer).unwrap();
         let groups = geo.phase_groups();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].consequential_nodes, groups[0].dense_nodes);

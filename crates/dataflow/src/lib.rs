@@ -27,7 +27,7 @@
 //!
 //! // 4x4 input, 5x5 filter, one row/column of zeros inserted (upsample 2).
 //! let params = ConvParams::transposed_2d(5, 2, 2);
-//! let phases = AxisPhases::vertical(&params, 4);
+//! let phases = AxisPhases::vertical(&params, 4).unwrap();
 //! // Even-phase output rows use three filter rows, odd-phase rows use two.
 //! assert_eq!(phases.consequential_taps(0).len(), 3);
 //! assert_eq!(phases.consequential_taps(1).len(), 2);

@@ -47,10 +47,8 @@ impl AxisPhases {
         }
     }
 
-    fn from_axis(params: &ConvParams, axis: usize, input_extent: usize) -> Self {
-        let ins = ZeroInsertion::from_params(params).expect(
-            "a transposed convolution with padding ≥ kernel crops its output; refuse it first",
-        );
+    fn from_axis(params: &ConvParams, axis: usize, input_extent: usize) -> Option<Self> {
+        let ins = ZeroInsertion::from_params(params)?;
         let (kernel, step, border) = match axis {
             0 => (params.kernel.0, ins.inserted.0 + 1, ins.border.0),
             1 => (params.kernel.1, ins.inserted.1 + 1, ins.border.1),
@@ -69,37 +67,33 @@ impl AxisPhases {
             };
             (input_extent + 2 * border - kernel) / conv_stride + 1
         };
-        // For conventional convolutions there is no zero insertion, so the
-        // phase structure is trivial (a single phase with every tap active).
-        if params.is_transposed() {
-            AxisPhases::new(kernel, step, border, input_extent, output_extent)
-        } else {
-            AxisPhases::new(kernel, 1, border, input_extent, output_extent)
-        }
+        // A conventional convolution inserts no zeros (step 1), so its phase
+        // structure is trivial: a single phase with every tap active.
+        Some(AxisPhases::new(
+            kernel,
+            step,
+            border,
+            input_extent,
+            output_extent,
+        ))
     }
 
-    /// Phase analysis of the depth axis.
-    ///
-    /// # Panics
-    /// On a transposed convolution whose padding is not below its kernel on
-    /// some axis (it crops its output; see `ZeroInsertion::from_params`).
-    pub fn depth(params: &ConvParams, input_extent: usize) -> Self {
+    /// Phase analysis of the depth axis, or `None` for a transposed
+    /// convolution whose padding is not below its kernel on some axis (it
+    /// crops its output; see `ZeroInsertion::from_params`).
+    pub fn depth(params: &ConvParams, input_extent: usize) -> Option<Self> {
         Self::from_axis(params, 0, input_extent)
     }
 
-    /// Phase analysis of the vertical (height) axis.
-    ///
-    /// # Panics
-    /// As [`AxisPhases::depth`].
-    pub fn vertical(params: &ConvParams, input_extent: usize) -> Self {
+    /// Phase analysis of the vertical (height) axis; `None` as for
+    /// [`AxisPhases::depth`].
+    pub fn vertical(params: &ConvParams, input_extent: usize) -> Option<Self> {
         Self::from_axis(params, 1, input_extent)
     }
 
-    /// Phase analysis of the horizontal (width) axis.
-    ///
-    /// # Panics
-    /// As [`AxisPhases::depth`].
-    pub fn horizontal(params: &ConvParams, input_extent: usize) -> Self {
+    /// Phase analysis of the horizontal (width) axis; `None` as for
+    /// [`AxisPhases::depth`].
+    pub fn horizontal(params: &ConvParams, input_extent: usize) -> Option<Self> {
         Self::from_axis(params, 2, input_extent)
     }
 
@@ -180,7 +174,7 @@ mod tests {
 
     /// The paper's Figure 4 example: 4x4 input, 5x5 kernel, 1 inserted zero.
     fn paper_vertical() -> AxisPhases {
-        AxisPhases::vertical(&ConvParams::transposed_2d(5, 2, 2), 4)
+        AxisPhases::vertical(&ConvParams::transposed_2d(5, 2, 2), 4).unwrap()
     }
 
     #[test]
@@ -223,7 +217,7 @@ mod tests {
 
     #[test]
     fn conventional_convolution_is_single_phase_all_taps() {
-        let phases = AxisPhases::vertical(&ConvParams::conv_2d(3, 2, 1), 16);
+        let phases = AxisPhases::vertical(&ConvParams::conv_2d(3, 2, 1), 16).unwrap();
         assert_eq!(phases.num_phases(), 1);
         assert_eq!(phases.consequential_taps(0), vec![0, 1, 2]);
         assert_eq!(phases.output_extent(), 8);
@@ -235,8 +229,8 @@ mod tests {
         // consequential tap totals equals the exact consequential MAC count.
         let params = ConvParams::transposed_2d(5, 2, 2);
         let input = ganax_tensor::Shape::new_2d(1, 4, 4);
-        let v = AxisPhases::vertical(&params, 4);
-        let h = AxisPhases::horizontal(&params, 4);
+        let v = AxisPhases::vertical(&params, 4).unwrap();
+        let h = AxisPhases::horizontal(&params, 4).unwrap();
         let product = v.total_consequential_taps() * h.total_consequential_taps();
         assert_eq!(product, params.consequential_macs(input, 1).unwrap());
     }
@@ -244,7 +238,7 @@ mod tests {
     #[test]
     fn average_taps_close_to_kernel_over_step() {
         let params = ConvParams::transposed_2d(4, 2, 1);
-        let v = AxisPhases::vertical(&params, 32);
+        let v = AxisPhases::vertical(&params, 32).unwrap();
         let avg = v.average_consequential_taps();
         assert!((avg - 2.0).abs() < 0.2, "avg = {avg}");
     }
@@ -263,7 +257,7 @@ mod tests {
             let padding = kernel / 2;
             prop_assume!(kernel > padding);
             let params = ConvParams::transposed_2d(kernel, step, padding);
-            let phases = AxisPhases::vertical(&params, extent);
+            let phases = AxisPhases::vertical(&params, extent).unwrap();
             let border = kernel - 1 - padding;
             // Positions far from both boundaries.
             for pos in 0..phases.output_extent() {

@@ -154,7 +154,7 @@ mod tests {
     /// The paper's worked example: 4x4 input, 5x5 filter, upsample 2, pad 2.
     fn paper_groups() -> OutputRowGroups {
         let params = ConvParams::transposed_2d(5, 2, 2);
-        let phases = AxisPhases::vertical(&params, 4);
+        let phases = AxisPhases::vertical(&params, 4).unwrap();
         OutputRowGroups::new(&phases, phases.output_extent())
     }
 
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn conventional_convolution_collapses_to_one_full_group() {
         let params = ConvParams::conv_2d(3, 1, 1);
-        let phases = AxisPhases::vertical(&params, 16);
+        let phases = AxisPhases::vertical(&params, 16).unwrap();
         let groups = OutputRowGroups::new(&phases, phases.output_extent());
         assert_eq!(groups.groups().len(), 1);
         assert_eq!(groups.conventional_utilization(), 1.0);
@@ -232,7 +232,7 @@ mod tests {
             let padding = kernel / 2;
             prop_assume!(kernel > padding);
             let params = ConvParams::transposed_2d(kernel, step, padding);
-            let phases = AxisPhases::vertical(&params, input);
+            let phases = AxisPhases::vertical(&params, input).unwrap();
             let groups = OutputRowGroups::new(&phases, phases.output_extent());
             prop_assert_eq!(
                 groups.covered_rows(),
@@ -251,7 +251,7 @@ mod tests {
             let padding = kernel / 2;
             prop_assume!(kernel > padding);
             let params = ConvParams::transposed_2d(kernel, step, padding);
-            let phases = AxisPhases::vertical(&params, input);
+            let phases = AxisPhases::vertical(&params, input).unwrap();
             let groups = OutputRowGroups::new(&phases, phases.output_extent());
             let conv = groups.conventional_compute_nodes();
             let cons = groups.consequential_compute_nodes();

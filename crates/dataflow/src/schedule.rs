@@ -195,6 +195,7 @@ mod tests {
             )
             .unwrap(),
         )
+        .unwrap()
     }
 
     fn conv_layer() -> LayerGeometry {
@@ -208,6 +209,7 @@ mod tests {
             )
             .unwrap(),
         )
+        .unwrap()
     }
 
     #[test]
@@ -267,7 +269,7 @@ mod tests {
             Shape::new_2d(1024, 4, 4),
             Activation::Relu,
         );
-        let geo = LayerGeometry::for_layer(&layer);
+        let geo = LayerGeometry::for_layer(&layer).unwrap();
         let array = ArrayConfig::paper();
         let a = ScheduleEstimate::estimate(&geo, array, DataflowMode::Conventional);
         let b = ScheduleEstimate::estimate(&geo, array, DataflowMode::Reorganized);
@@ -285,7 +287,7 @@ mod tests {
             Activation::Relu,
         )
         .unwrap();
-        let geo3d = LayerGeometry::for_layer(&layer3d);
+        let geo3d = LayerGeometry::for_layer(&layer3d).unwrap();
         let array = ArrayConfig::paper();
         let conv3d = ScheduleEstimate::estimate(&geo3d, array, DataflowMode::Conventional);
         let reorg3d = ScheduleEstimate::estimate(&geo3d, array, DataflowMode::Reorganized);
@@ -336,7 +338,7 @@ mod tests {
                 prop_assume!(params.output_shape(input, out_channels).is_ok());
                 let layer = Layer::conv("prop", input, out_channels, params, Activation::None)
                     .unwrap();
-                let geo = LayerGeometry::for_layer(&layer);
+                let geo = LayerGeometry::for_layer(&layer).unwrap();
                 let array = ArrayConfig { num_pvs, pes_per_pv };
                 let conv = ScheduleEstimate::estimate(&geo, array, DataflowMode::Conventional);
                 let reorg = ScheduleEstimate::estimate(&geo, array, DataflowMode::Reorganized);
@@ -361,7 +363,7 @@ mod tests {
                 let input = Shape::new_2d(3, extent, extent);
                 prop_assume!(params.output_shape(input, 4).is_ok());
                 let layer = Layer::conv("prop", input, 4, params, Activation::None).unwrap();
-                let geo = LayerGeometry::for_layer(&layer);
+                let geo = LayerGeometry::for_layer(&layer).unwrap();
                 let array = ArrayConfig::paper();
                 let conv = ScheduleEstimate::estimate(&geo, array, DataflowMode::Conventional);
                 let reorg = ScheduleEstimate::estimate(&geo, array, DataflowMode::Reorganized);

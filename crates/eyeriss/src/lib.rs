@@ -20,7 +20,7 @@
 //! use ganax_models::zoo;
 //!
 //! let model = EyerissModel::paper();
-//! let stats = model.run_network(&zoo::dcgan().generator);
+//! let stats = model.run_network(&zoo::dcgan().generator).unwrap();
 //! assert!(stats.total_cycles() > 0);
 //! assert!(stats.total_energy().total_pj() > 0.0);
 //! ```

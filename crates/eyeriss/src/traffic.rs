@@ -170,6 +170,7 @@ mod tests {
             )
             .unwrap(),
         )
+        .unwrap()
     }
 
     #[test]

@@ -312,8 +312,8 @@ impl UopFifo {
     }
 
     /// The whole queue as untouched virtual `repeat`+`mac` pairs, if that is
-    /// what it holds — the only queue the burst-stepping PE retires as one
-    /// dispatch; any other queue single-steps.
+    /// what it holds — the only queue `ProcessingEngine::retire_block`
+    /// retires as one dispatch; any other queue single-steps.
     pub(crate) fn uniform_pairs(&self) -> Option<usize> {
         (self.inner.items.is_empty()
             && self.virtual_uops > 0

@@ -248,31 +248,17 @@ impl ProcessingEngine {
             .expect("uop fifo overflow: dispatcher must respect fifo depth");
     }
 
-    /// Pushes a batch of execute µops with a single capacity check (a
-    /// dispatcher issuing a whole program at once).
-    ///
-    /// # Errors
-    /// Returns [`FifoError`] (pushing nothing) when the batch does not fit.
-    pub fn try_push_uops(&mut self, uops: &[ExecUop]) -> Result<(), FifoError> {
-        self.uop_fifo.push_all(uops)
-    }
-
     /// Pushes `pairs` uniform `repeat`+`mac` programs with a single capacity
     /// check. The µop FIFO holds them virtually (a pair count instead of
     /// `2 × pairs` queue entries), which both skips the per-µop queue traffic
-    /// and is the only queue [`ProcessingEngine::step_burst`] retires as one
+    /// and is the only queue [`ProcessingEngine::retire_block`] retires as one
     /// dispatch; materialized µops single-step. Observationally identical to
-    /// [`ProcessingEngine::try_push_uops`] of the same sequence.
+    /// pushing the same µops one by one with [`ProcessingEngine::try_push_uop`].
     ///
     /// # Errors
     /// Returns [`FifoError`] (pushing nothing) when the batch does not fit.
     pub fn try_push_mac_pairs(&mut self, pairs: usize) -> Result<(), FifoError> {
         self.uop_fifo.try_push_mac_pairs(pairs)
-    }
-
-    /// Whether the µop FIFO has room for another µop.
-    pub fn can_accept_uop(&self) -> bool {
-        !self.uop_fifo.is_full()
     }
 
     /// Whether the PE has nothing left to do: no in-flight µop, an empty µop
@@ -358,45 +344,6 @@ impl ProcessingEngine {
         stepped
     }
 
-    /// Like [`ProcessingEngine::run_until_idle`], but retires each
-    /// canonical dispatch through [`ProcessingEngine::step_burst`]. Final
-    /// state, outputs and every counter are bit-identical to the single-step
-    /// path.
-    pub fn run_until_idle_burst(&mut self, max_cycles: u64) -> u64 {
-        let mut stepped = 0;
-        while stepped < max_cycles && !self.is_idle() {
-            let advanced = self.step_burst(max_cycles - stepped);
-            if advanced == 0 {
-                break;
-            }
-            stepped += advanced;
-        }
-        stepped
-    }
-
-    /// Advances the PE by up to `budget` cycles in one call, returning how
-    /// many cycles elapsed.
-    ///
-    /// There is one multi-cycle path. When the queued dispatch has the
-    /// canonical shape [`ProcessingEngine::retire_block`] proves and its
-    /// `pairs × repeats` cycles fit the budget, it retires at once as a
-    /// one-row block, with outputs, `cycles()`, `busy_cycles()`,
-    /// [`EventCounts`] and FIFO/generator/stall bookkeeping bit-identical to
-    /// calling [`ProcessingEngine::step`] that many times. Every other state
-    /// takes a single [`ProcessingEngine::step`].
-    pub fn step_burst(&mut self, budget: u64) -> u64 {
-        if budget == 0 || self.is_idle() {
-            return 0;
-        }
-        match self.retire_rows(1, 0, budget, |_, _| {}) {
-            0 => {
-                self.step();
-                1
-            }
-            cycles => cycles,
-        }
-    }
-
     /// Retires a block of `rows` canonical dispatches in one call: the
     /// queued dispatch, then `rows - 1` re-issues of it that share its
     /// weights, shape and generator state and differ only in the input
@@ -425,49 +372,38 @@ impl ProcessingEngine {
     /// exactly as `rows` single dispatches leave it: the input generator's
     /// offset at the last row's base and the last row's outputs in the
     /// output scratchpad. The arithmetic runs in `retire_canonical`.
+    ///
+    /// This is the PE's only multi-cycle entry: `retire_block(1, 0, ..)`
+    /// retires one dispatch, bit-identical to [`ProcessingEngine::step`]ping
+    /// it `pairs × repeats` times, and every other state single-steps.
     pub fn retire_block(
         &mut self,
         rows: usize,
         stride: usize,
-        sink: impl FnMut(usize, &[f32]),
-    ) -> bool {
-        self.retire_rows(rows, stride, u64::MAX, sink) != 0
-    }
-
-    /// [`ProcessingEngine::retire_block`] within a cycle budget: returns the
-    /// cycles retired, or 0 when the block is refused.
-    fn retire_rows(
-        &mut self,
-        rows: usize,
-        stride: usize,
-        budget: u64,
         mut sink: impl FnMut(usize, &[f32]),
-    ) -> u64 {
+    ) -> bool {
         if rows == 0 || self.execute.is_busy() {
-            return 0;
+            return false;
         }
         let Some(programs) = self.uop_fifo.uniform_pairs() else {
-            return 0;
+            return false;
         };
         let r = self.execute.repeat_register() as usize;
         let (pairs, n) = (programs as u64, rows as u64);
         let total = pairs * r as u64;
-        if total.saturating_mul(n) > budget {
-            return 0;
-        }
         let in_idx = AddrGenKind::Input.index();
         let wt_idx = AddrGenKind::Weight.index();
         let out_idx = AddrGenKind::Output.index();
         let (gens, fifos, stall_cycles) = self.access.burst_parts();
         if fifos.iter().any(|fifo| !fifo.is_empty()) {
-            return 0;
+            return false;
         }
         let (Some(input), Some(weight), Some(output)) = (
             Window::of(&gens[in_idx]),
             Window::of(&gens[wt_idx]),
             Window::of(&gens[out_idx]),
         ) else {
-            return 0;
+            return false;
         };
         let stream = input.end - input.base;
         let input_limit = self.input.capacity().min(u16::MAX as usize + 1);
@@ -483,7 +419,7 @@ impl ProcessingEngine {
             && output.pos + programs <= output.end.min(self.output.capacity())
             && gens[out_idx].remaining_addresses_up_to(pairs + 1) == pairs;
         if !canonical {
-            return 0;
+            return false;
         }
 
         // In fetch mode the accumulator holds the `0.0` the last completed
@@ -526,7 +462,7 @@ impl ProcessingEngine {
         self.execute.settle_mac_programs(total * n);
         self.cycles += total * n;
         self.busy_cycles += total * n;
-        total * n
+        true
     }
 
     /// Total cycles stepped.
@@ -900,7 +836,7 @@ mod tests {
             pe.set_repeat(4);
             pe.push_uop(ExecUop::Repeat);
             pe.push_uop(ExecUop::Mac);
-            pe.run_until_idle_burst(1_000);
+            run_blocks(pe, 1_000);
         };
         run(&mut pe);
         let mut fresh = ProcessingEngine::new(config);
@@ -957,7 +893,8 @@ mod tests {
     }
 
     /// One `repeat`+`mac` program: generator configurations plus the armed
-    /// repeat count, applied identically to a reference and a burst PE.
+    /// repeat count, applied identically to a reference and a block-retiring
+    /// PE.
     struct MacProgram {
         input: GeneratorConfig,
         weight: GeneratorConfig,
@@ -1097,9 +1034,36 @@ mod tests {
         }
     }
 
-    /// Runs the same programs on a single-stepped and a burst-stepped PE and
-    /// asserts the complete PE state (scratchpads, FIFOs, generators, stall
-    /// and energy counters, cycles) ends bit-identical.
+    /// [`ProcessingEngine::run_until_idle`] through the PE's multi-cycle
+    /// entry: each cycle first offers `retire_block(1, 0, ..)`, and only a
+    /// refused block takes one `step()`. A retired block must fit the
+    /// remaining budget; a refused one must leave the PE untouched.
+    fn run_blocks(pe: &mut ProcessingEngine, budget: u64) -> u64 {
+        let mut stepped = 0;
+        while stepped < budget && !pe.is_idle() {
+            let before = pe.clone();
+            if pe.retire_block(1, 0, |_, _| {}) {
+                let cycles = pe.cycles() - before.cycles();
+                assert!(
+                    cycles <= budget - stepped,
+                    "a {cycles}-cycle block overran the budget"
+                );
+                stepped += cycles;
+            } else {
+                assert!(
+                    nan_canonical(pe) == nan_canonical(&before),
+                    "a refused block moved state"
+                );
+                pe.step();
+                stepped += 1;
+            }
+        }
+        stepped
+    }
+
+    /// Runs the same programs on a single-stepped PE and one driven by
+    /// [`run_blocks`] and asserts the complete PE state (scratchpads, FIFOs,
+    /// generators, stall and energy counters, cycles) ends bit-identical.
     fn assert_burst_equivalence(config: PeConfig, programs: &[MacProgram], budget: u64) {
         let words = config.input_words.min(config.weight_words);
         let data: Vec<f32> = (0..words).map(|i| (i as f32) * 0.37 - 1.5).collect();
@@ -1112,7 +1076,7 @@ mod tests {
             apply_program(&mut reference, p);
             apply_program(&mut fast, p);
             let ref_cycles = reference.run_until_idle(budget);
-            let fast_cycles = fast.run_until_idle_burst(budget);
+            let fast_cycles = run_blocks(&mut fast, budget);
             assert_eq!(ref_cycles, fast_cycles, "cycle counts diverged");
             assert_eq!(reference, fast, "PE state diverged");
         }
@@ -1187,8 +1151,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Burst stepping is indistinguishable from single stepping across
-        /// random generator geometries, FIFO depths and repeat counts —
+        /// Driving a PE through [`run_blocks`] is indistinguishable from
+        /// single stepping across random generator geometries, FIFO depths
+        /// and repeat counts —
         /// including programs that over- or under-supply operands, leave
         /// addresses queued between programs, or stall on a missing output
         /// address.
@@ -1278,7 +1243,7 @@ mod tests {
             }
             let budget = 512;
             let ref_cycles = reference.run_until_idle(budget);
-            let fast_cycles = fast.run_until_idle_burst(budget);
+            let fast_cycles = run_blocks(&mut fast, budget);
             prop_assert_eq!(ref_cycles, fast_cycles, "cycle counts diverged");
             prop_assert_eq!(&reference, &fast, "PE state diverged");
         }
@@ -1328,7 +1293,7 @@ mod tests {
             }
             let budget = 512;
             let ref_cycles = reference.run_until_idle(budget);
-            let fast_cycles = fast.run_until_idle_burst(budget);
+            let fast_cycles = run_blocks(&mut fast, budget);
             prop_assert_eq!(ref_cycles, fast_cycles, "cycle counts diverged");
             prop_assert_eq!(&reference, &fast, "PE state diverged");
         }
@@ -1383,7 +1348,7 @@ mod tests {
             fast.try_push_mac_pairs(cols as usize).unwrap();
             let budget = 1_024;
             let ref_cycles = reference.run_until_idle(budget);
-            let fast_cycles = fast.run_until_idle_burst(budget);
+            let fast_cycles = run_blocks(&mut fast, budget);
             prop_assert_eq!(ref_cycles, fast_cycles, "cycle counts diverged");
             prop_assert_eq!(&reference, &fast, "PE state diverged");
         }
@@ -1396,8 +1361,9 @@ mod tests {
         /// every count `retire_canonical` specialises and two above them, so
         /// the monomorphised kernels and the generic instance all meet
         /// `step()`. Each dispatch must also retire in exactly one
-        /// `step_burst` call: a change that silently drops the closed form
-        /// would otherwise pass every equality check as a slowdown.
+        /// `retire_block(1, 0, ..)` call: a change that silently drops the
+        /// closed form would otherwise pass every equality check as a
+        /// slowdown.
         #[test]
         fn prop_canonical_dispatch_equals_single_step(
             cols in 1u16..9,
@@ -1429,11 +1395,12 @@ mod tests {
                     reference.push_uop(ExecUop::Mac);
                 }
                 fast.try_push_mac_pairs((cols * group) as usize).unwrap();
-                let budget = 4_096;
-                let ref_cycles = reference.run_until_idle(budget);
-                let fast_cycles = fast.step_burst(budget);
+                let ref_cycles = reference.run_until_idle(4_096);
+                let before = fast.cycles();
+                prop_assert!(fast.retire_block(1, 0, |_, _| {}), "the dispatch was refused");
+                let fast_cycles = fast.cycles() - before;
                 prop_assert!(reference.is_idle(), "reference did not drain");
-                prop_assert!(fast.is_idle(), "one step_burst did not drain the dispatch");
+                prop_assert!(fast.is_idle(), "one retire_block did not drain the dispatch");
                 prop_assert_eq!(fast_cycles, u64::from(taps * cols * group));
                 prop_assert_eq!(ref_cycles, fast_cycles, "cycle counts diverged");
                 prop_assert_eq!(&reference, &fast, "PE state diverged");
@@ -1479,7 +1446,8 @@ mod tests {
 
         /// One `retire_block` call equals its rows issued one by one: `rows`
         /// dispatches armed from scratch, each with the input offset
-        /// `stride` words further and retired by its own `step_burst`, leave
+        /// `stride` words further and retired by its own one-row
+        /// `retire_block`, leave
         /// the same PE state (full `PartialEq`, NaNs canonical) and produce
         /// the same per-row output runs (bit for bit, any NaN meeting any
         /// NaN). Taps cover the specialised kernels and two past them,
@@ -1518,8 +1486,10 @@ mod tests {
             for row in 0..rows as u16 {
                 arm_dispatch(&mut reference, taps, cols, group, slot * stream + row * stride);
                 reference.try_push_mac_pairs(usize::from(pairs)).unwrap();
-                prop_assert_eq!(reference.step_burst(cycles), cycles);
-                prop_assert!(reference.is_idle(), "one step_burst did not drain row {}", row);
+                let before = reference.cycles();
+                prop_assert!(reference.retire_block(1, 0, |_, _| {}), "row {} was refused", row);
+                prop_assert_eq!(reference.cycles() - before, cycles);
+                prop_assert!(reference.is_idle(), "one retire_block did not drain row {}", row);
                 expected.extend_from_slice(&reference.output_contents()[..usize::from(pairs)]);
             }
 
@@ -1597,7 +1567,7 @@ mod tests {
             }
             let budget = 512;
             let ref_cycles = reference.run_until_idle(budget);
-            let fast_cycles = fast.run_until_idle_burst(budget);
+            let fast_cycles = run_blocks(&mut fast, budget);
             prop_assert_eq!(ref_cycles, fast_cycles, "cycle counts diverged");
             prop_assert_eq!(&reference, &fast, "PE state diverged");
         }

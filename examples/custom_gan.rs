@@ -11,6 +11,10 @@
 
 use ganax_repro::prelude::*;
 
+/// The models refuse only a transposed convolution with padding ≥ kernel,
+/// and this GAN has none.
+const NOT_CROPPING: &str = "the custom GAN has no cropping transposed convolution";
+
 fn main() {
     // Generator: latent vector -> 128x128 RGB image.
     let generator = NetworkBuilder::new("custom-generator", Shape::new_2d(128, 1, 1))
@@ -107,10 +111,8 @@ fn main() {
     // Per-layer view: which layers does GANAX help, and by how much?
     let eyeriss = EyerissModel::paper();
     let ganax = GanaxModel::paper();
-    let eyeriss_gen = eyeriss.run_network(&gan.generator);
-    let ganax_gen = ganax
-        .run_network(&gan.generator)
-        .expect("the custom generator has no cropping transposed convolution");
+    let eyeriss_gen = eyeriss.run_network(&gan.generator).expect(NOT_CROPPING);
+    let ganax_gen = ganax.run_network(&gan.generator).expect(NOT_CROPPING);
     println!("\n  per-layer generator cycles (Eyeriss -> GANAX):");
     for (e, g) in eyeriss_gen.layers.iter().zip(&ganax_gen.layers) {
         println!(
@@ -122,7 +124,7 @@ fn main() {
         );
     }
 
-    let report = ModelComparison::compare(&gan);
+    let report = ModelComparison::compare(&gan).expect(NOT_CROPPING);
     println!(
         "\n  generator speedup        : {:.2}x",
         report.generator_speedup()

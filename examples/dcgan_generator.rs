@@ -36,7 +36,9 @@ fn main() {
 
     // Compile the layer to its uop program (Section IV of the paper).
     let compiler = GanaxCompiler::paper();
-    let program = compiler.compile_layer(&layer);
+    let program = compiler
+        .compile_layer(&layer)
+        .expect("DCGAN's layers are all modelled");
     let stats = program.stats();
     println!(
         "  compiled program: {} access uops, {} global entries ({} MIMD-SIMD), {} local uops max",

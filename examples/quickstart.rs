@@ -34,7 +34,7 @@ fn main() {
     );
 
     // 3. Run the head-to-head comparison (Figures 8-11 in one report).
-    let report = ModelComparison::compare(&dcgan);
+    let report = ModelComparison::compare(&dcgan).expect("DCGAN's layers are all modelled");
     println!("\nGANAX vs EYERISS on the {} generator:", dcgan.name);
     println!("  speedup          : {:.2}x", report.generator_speedup());
     println!(

@@ -17,7 +17,7 @@
 //! ```
 //! use ganax_repro::prelude::*;
 //!
-//! let report = ModelComparison::compare(&zoo::dcgan());
+//! let report = ModelComparison::compare(&zoo::dcgan()).unwrap();
 //! assert!(report.generator_speedup() > 1.0);
 //! ```
 

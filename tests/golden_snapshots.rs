@@ -58,7 +58,7 @@ fn assert_golden(path: &PathBuf, json: &str) {
 #[test]
 fn zoo_model_comparisons_match_golden_snapshots() {
     for gan in zoo::all_models() {
-        let report = ModelComparison::compare(&gan);
+        let report = ModelComparison::compare(&gan).unwrap();
         let json = serde_json::to_string_pretty(&report).expect("report serializes") + "\n";
         assert_golden(&golden_path(&gan.name), &json);
     }

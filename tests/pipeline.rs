@@ -17,7 +17,7 @@ fn compiled_programs_fit_the_paper_buffer_sizes_for_every_zoo_layer() {
             .iter()
             .chain(gan.discriminator.layers())
         {
-            let program = compiler.compile_layer(layer);
+            let program = compiler.compile_layer(layer).unwrap();
             let stats = program.stats();
             assert!(
                 stats.max_local_entries <= LOCAL_UOP_ENTRIES,
@@ -54,10 +54,13 @@ fn schedule_estimates_are_consistent_with_accelerator_stats() {
     let ganax = GanaxModel::paper();
     for gan in zoo::all_models() {
         for layer in gan.generator.layers() {
-            let geometry = LayerGeometry::for_layer(layer);
+            let geometry = LayerGeometry::for_layer(layer).unwrap();
             let conv = ScheduleEstimate::estimate(&geometry, array, DataflowMode::Conventional);
             let reorg = ScheduleEstimate::estimate(&geometry, array, DataflowMode::Reorganized);
-            assert_eq!(eyeriss.run_layer(layer).cycles, conv.schedule_cycles);
+            assert_eq!(
+                eyeriss.run_layer(layer).unwrap().cycles,
+                conv.schedule_cycles
+            );
             assert_eq!(
                 ganax.run_layer(layer).unwrap().cycles,
                 reorg.schedule_cycles
@@ -78,7 +81,7 @@ fn accelerators_agree_exactly_on_discriminators() {
         if gan.name == "MAGAN" {
             continue;
         }
-        let e = eyeriss.run_network(&gan.discriminator);
+        let e = eyeriss.run_network(&gan.discriminator).unwrap();
         let g = ganax.run_network(&gan.discriminator).unwrap();
         assert_eq!(e.total_cycles(), g.total_cycles(), "{}", gan.name);
         assert_eq!(

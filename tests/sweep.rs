@@ -114,8 +114,8 @@ fn config_json_round_trip_preserves_non_default_geometry() {
     assert_eq!(back, config);
     // The round-tripped config drives the models identically.
     let gan = zoo::dcgan();
-    let direct = ModelComparison::compare_with(&gan, config);
-    let reparsed = ModelComparison::compare_with(&gan, back);
+    let direct = ModelComparison::compare_with(&gan, config).unwrap();
+    let reparsed = ModelComparison::compare_with(&gan, back).unwrap();
     assert_eq!(direct, reparsed);
 }
 
@@ -141,7 +141,7 @@ proptest! {
         prop_assert_eq!(result.cells.len(), 1);
         let cell = &result.cells[0];
 
-        let direct = ModelComparison::compare(&gan);
+        let direct = ModelComparison::compare(&gan).unwrap();
         prop_assert_eq!(cell.ganax_cycles, direct.ganax_generator.total_cycles());
         prop_assert_eq!(cell.eyeriss_cycles, direct.eyeriss_generator.total_cycles());
         // Same pure-f64 computation, so the derived metrics are bit-equal,
